@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .groupoids import Groupoid, ValidationReport, Violation
+from .groupoids import Groupoid, ValidationReport, Violation, _least_components, make_groupoid
 
 __all__ = [
     "Action",
@@ -202,9 +202,6 @@ def validate_action(A: Action) -> ValidationReport:
         if w in car and mom(w) != G.range_map.get(g):
             bad.append(Violation("moment of translate", (f"g={g}", f"z={z}", f"moment={mom(w)}")))
 
-    rfib: dict[str, list[str]] = {}
-    for g in G.sorted_elements():
-        rfib.setdefault(G.source_map.get(g), []).append(g)
     # compatibility: (gh).z == g.(h.z) whenever source(g) == range(h)
     for g in G.sorted_elements():
         for h in G.sorted_elements():
@@ -233,29 +230,12 @@ def _orbit_reps(A: Action) -> dict[str, str]:
         if z in adj and w in adj:
             adj[z].add(w)
             adj[w].add(z)
-    rep: dict[str, str] = {}
-    for start in A.sorted_carrier():
-        if start in rep:
-            continue
-        seen = {start}
-        queue = [start]
-        while queue:
-            node = queue.pop()
-            for nxt in adj[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        least = min(seen)
-        for node in seen:
-            rep[node] = least
-    return rep
+    return _least_components(A.sorted_carrier(), adj.__getitem__)
 
 
 def orbit_space(A: Action) -> tuple[tuple[str, ...], dict[str, str]]:
     """Quotient of the carrier by the action: (representatives, quotient map)."""
-    report = validate_action(A)
-    if not report.passed:
-        raise ValueError(f"invalid action: {report.violations[0].render()}")
+    validate_action(A).require("invalid action")
     rep = _orbit_reps(A)
     return tuple(sorted(set(rep.values()))), dict(sorted(rep.items()))
 
@@ -317,19 +297,17 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
     which at finite scale is the same as fiberwise transitivity.
     """
     bad: list[Violation] = []
-    for tag, A in (("left", E.left), ("right", E.right)):
-        rep = validate_action(A)
-        for v in rep.violations:
-            bad.append(Violation(f"{tag} action {v.law}", v.witness))
+    for A in (E.left, E.right):
+        for v in validate_action(A).violations:
+            bad.append(Violation(f"{A.side} action {v.law}", v.witness))
         if not is_free(A):
             witness = next(
-                (g, z) for (g, z), w in sorted(A.act.items()) if w == z and g != A.moment[z]
+                (g, z) for (g, z), w in sorted(A.act.items()) if w == z and g != A.moment.get(z)
             )
-            bad.append(Violation(f"{tag} action not free", (f"g={witness[0]}", f"z={witness[1]}")))
+            bad.append(Violation(f"{A.side} action not free", (f"g={witness[0]}", f"z={witness[1]}")))
     if bad:
         return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
 
-    G, H = E.left.groupoid, E.right.groupoid
     rho = E.left.moment
     sigma = E.right.moment
 
@@ -342,9 +320,7 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
 
-    hr = {u: [] for u in H.sorted_units()}
-    for h in H.sorted_elements():
-        hr[H.range_map[h]].append(h)
+    hr = E.right.groupoid.range_fibers()
     for (g, z), gz in sorted(E.left.act.items()):
         for h in hr.get(sigma[z], ()):
             lhs = E.right.apply_right(gz, h)
@@ -352,40 +328,24 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
             if lhs != rhs:
                 bad.append(Violation("commuting", (f"g={g}", f"z={z}", f"h={h}")))
 
-    right_orbits = _orbit_reps(E.right)
-    left_orbits = _orbit_reps(E.left)
-
-    seen: dict[str, str] = {}
-    for z in E.left.sorted_carrier():
-        rep, value = right_orbits[z], rho[z]
-        if value in seen and seen[value] != rep:
-            bad.append(
-                Violation(
-                    "right action not transitive on left-moment fiber",
-                    (f"unit={value}", f"orbit={seen[value]}", f"orbit={rep}"),
+    # each moment map reaches every unit, and each of its fibers is one orbit of the other action
+    for A, B in ((E.left, E.right), (E.right, E.left)):
+        orbits = _orbit_reps(B)
+        seen: dict[str, str] = {}
+        for z in sorted(E.carrier):
+            rep, value = orbits[z], A.moment[z]
+            if value in seen and seen[value] != rep:
+                bad.append(
+                    Violation(
+                        f"{B.side} action not transitive on {A.side}-moment fiber",
+                        (f"unit={value}", f"orbit={seen[value]}", f"orbit={rep}"),
+                    )
                 )
-            )
-            seen[value] = min(seen[value], rep)
-        else:
-            seen[value] = rep
-    for u in sorted(set(G.units) - set(seen)):
-        bad.append(Violation("left moment not surjective", (f"unit={u}",)))
-
-    seen = {}
-    for z in E.right.sorted_carrier():
-        rep, value = left_orbits[z], sigma[z]
-        if value in seen and seen[value] != rep:
-            bad.append(
-                Violation(
-                    "left action not transitive on right-moment fiber",
-                    (f"unit={value}", f"orbit={seen[value]}", f"orbit={rep}"),
-                )
-            )
-            seen[value] = min(seen[value], rep)
-        else:
-            seen[value] = rep
-    for u in sorted(set(H.units) - set(seen)):
-        bad.append(Violation("right moment not surjective", (f"unit={u}",)))
+                seen[value] = min(seen[value], rep)
+            else:
+                seen[value] = rep
+        for u in sorted(set(A.groupoid.units) - set(seen)):
+            bad.append(Violation(f"{A.side} moment not surjective", (f"unit={u}",)))
 
     return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
 
@@ -408,12 +368,14 @@ def imprimitivity_groupoid(
     """
     if orientation is not None and orientation != A.side:
         raise ValueError(f"orientation {orientation!r} does not match the action's side {A.side!r}")
-    report = validate_action(A)
-    if not report.passed:
-        raise ValueError(f"invalid action: {report.violations[0].render()}")
+    validate_action(A).require("invalid action")
     if not is_free(A):
         raise ValueError("imprimitivity groupoid needs a free action")
+    return _imprimitivity(A)
 
+
+def _imprimitivity(A: Action) -> tuple[Groupoid, dict[tuple[str, str], str]]:
+    """imprimitivity_groupoid of an action already known to be valid and free."""
     G = A.groupoid
     mom = A.moment
     fibers = A.moment_fibers()
@@ -429,25 +391,12 @@ def imprimitivity_groupoid(
     for g in G.sorted_elements():
         sfib.setdefault(G.source_map[g], []).append(g)
 
-    # orbits of the diagonal action
-    rep: dict[tuple[str, str], tuple[str, str]] = {}
-    for start in pairs:
-        if start in rep:
-            continue
-        seen = {start}
-        queue = [start]
-        while queue:
-            x, y = queue.pop()
-            for g in sfib.get(mom[x], ()):
-                nxt = (A.act[(g, x)], A.act[(g, y)])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        least = min(seen)
-        for p in seen:
-            rep[p] = least
+    def diagonal(pair: tuple[str, str]):
+        x, y = pair
+        return ((A.act[(g, x)], A.act[(g, y)]) for g in sfib.get(mom[x], ()))
 
-    labeling = {p: _pair_token(*rep[p]) for p in sorted(pairs)}
+    rep = _least_components(pairs, diagonal)
+    labeling = {p: _pair_token(*rep[p]) for p in pairs}
     classes = sorted({labeling[p] for p in pairs})
     class_rep = {labeling[p]: rep[p] for p in pairs}  # rep is the least pair of its orbit
 
@@ -481,8 +430,6 @@ def imprimitivity_groupoid(
                 raise ValueError(f"composable classes without a translator: {c1} {c2}")
             compose[(c1, c2)] = labeling[(x, A.act[(g, z)])]
 
-    from .groupoids import make_groupoid
-
     return (
         make_groupoid(elements, units, range_map, source_map, inverse_map, compose),
         labeling,
@@ -499,16 +446,20 @@ def imprimitivity_iso(
     returned map is checked to be a bijection preserving all structure.
     """
     imp, labeling = imprimitivity_groupoid(E.left)
+    return imp, labeling, _class_translation(E, imp, labeling)
+
+
+def _class_translation(
+    E: Equivalence, imp: Groupoid, labeling: dict[tuple[str, str], str]
+) -> dict[str, str]:
+    """The iso of imprimitivity_iso, for a checked equivalence and its imprimitivity groupoid."""
     H = E.right.groupoid
     sigma = E.right.moment
     class_rep: dict[str, tuple[str, str]] = {}
     for p in sorted(labeling):
         class_rep.setdefault(labeling[p], p)
 
-    hr: dict[str, list[str]] = {}
-    for h in H.sorted_elements():
-        hr.setdefault(H.range_map[h], []).append(h)
-
+    hr = H.range_fibers()
     iso: dict[str, str] = {}
     for c in imp.sorted_elements():
         x, y = class_rep[c]
@@ -527,4 +478,4 @@ def imprimitivity_iso(
     for (c1, c2), c3 in imp.compose_map.items():
         if H.compose_map.get((iso[c1], iso[c2])) != iso[c3]:
             raise RuntimeError("internal: class translation does not preserve composition")
-    return imp, labeling, iso
+    return iso

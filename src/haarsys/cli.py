@@ -133,9 +133,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
     beta = _load(args.fsystem, "system").payload
     if beta.base_map != {str(k): str(v) for k, v in fm.items()}:
         raise ValueError("fiber system base map does not match the blow-up map")
-    report = check_system(beta)
-    if not report.passed:
-        raise ValueError(f"not a full system: {report.violations[0].render()}")
+    check_system(beta).require("not a full system")
     if args.haar:
         lam = make_haar(G, _load(args.haar, "system").payload, "input haar")
         kappa = blowup_haar(G, lam, fm, beta)

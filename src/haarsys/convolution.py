@@ -120,7 +120,9 @@ def convolve(
         for z, hz in h.items():
             if G.range_map[z] != sy:
                 continue
-            x = G.compose_map[(y, z)]
+            x = G.compose_map.get((y, z))
+            if x is None:
+                raise ValueError(f"convolve: compose missing on composable pair: x={y} y={z}")
             out[x] = out.get(x, ZERO) + fy * hz * wy
     return GroupoidFunction(G, out)
 

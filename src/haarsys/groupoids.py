@@ -8,7 +8,7 @@ checkers return reports, they never mutate.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
 __all__ = [
@@ -65,6 +65,11 @@ class ValidationReport:
         lines.extend(v.render() for v in self.violations)
         lines.extend(f"note: {n}" for n in self.notes)
         return "\n".join(lines)
+
+    def require(self, context: str, error: type[Exception] = ValueError) -> None:
+        """Raise error("context: first violation") unless the report passed."""
+        if self.violations:
+            raise error(f"{context}: {self.violations[0].render()}")
 
 
 @dataclass(frozen=True)
@@ -271,15 +276,24 @@ def unit_orbit_map(G: Groupoid) -> dict[str, str]:
         if u in adj and v in adj:
             adj[u].add(v)
             adj[v].add(u)
-    rep: dict[str, str] = {}
-    for start in sorted(G.units):
+    return _least_components(sorted(G.units), adj.__getitem__)
+
+
+def _least_components(nodes: Iterable, neighbours: Callable[..., Iterable]) -> dict:
+    """Map every node reachable from nodes to the least node of its component.
+
+    neighbours(n) yields the nodes one step from n.  Whatever n reaches must
+    also reach n (an undirected graph, or the moves of a groupoid action), so
+    each search finds a whole component.
+    """
+    rep: dict = {}
+    for start in nodes:
         if start in rep:
             continue
         seen = {start}
         queue = [start]
         while queue:
-            node = queue.pop()
-            for nxt in adj[node]:
+            for nxt in neighbours(queue.pop()):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)

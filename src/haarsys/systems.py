@@ -234,7 +234,10 @@ def check_haar(G: Groupoid, system: FiberSystem | HaarSystem) -> ValidationRepor
         left = sys.measure(rx)
         right = sys.measure(sx)
         for z in rfib.get(rx, ()):
-            translated = G.compose_map[(xi, z)]
+            translated = G.compose_map.get((xi, z))
+            if translated is None:
+                bad.append(Violation("compose missing on composable pair", (f"x={xi}", f"y={z}")))
+                continue
             lhs = left.weight(z)
             rhs = right.weight(translated)
             if lhs != rhs:
@@ -246,10 +249,7 @@ def check_haar(G: Groupoid, system: FiberSystem | HaarSystem) -> ValidationRepor
 
 def make_haar(G: Groupoid, system: FiberSystem | HaarSystem, context: str = "haar system") -> HaarSystem:
     """Wrap a fiber system as a HaarSystem after check_haar passes."""
-    report = check_haar(G, system)
-    if not report.passed:
-        first = report.violations[0].render()
-        raise ValueError(f"{context}: {first}")
+    check_haar(G, system).require(context)
     return HaarSystem(G, _unwrap(system))
 
 
@@ -354,10 +354,15 @@ def uniform_cutoff(q: Mapping[str, str]) -> Cutoff:
     return Cutoff(Measure({z: 1 for z in qm}), qm)
 
 
+def _partition_reps(q: Mapping[str, str]) -> dict[str, str]:
+    """Map each point to the least point of its quotient fiber."""
+    least: dict[str, str] = {}
+    for z in sorted(q, reverse=True):
+        least[q[z]] = z
+    return {z: least[q[z]] for z in q}
+
+
 def representative_cutoff(q: Mapping[str, str]) -> Cutoff:
     """Indicator of the least point of each quotient fiber."""
     qm = {str(z): str(x) for z, x in q.items()}
-    reps: dict[str, str] = {}
-    for z in sorted(qm, reverse=True):
-        reps[qm[z]] = z
-    return Cutoff(Measure({z: 1 for z in reps.values()}), qm)
+    return Cutoff(Measure({z: 1 for z in _partition_reps(qm).values()}), qm)

@@ -6,8 +6,7 @@ map of an action.  Such a system induces a Haar system on the imprimitivity
 groupoid of a free action, and through an equivalence that groupoid is a copy
 of the linked groupoid, so Haar systems travel across equivalences.
 
-Every stage re-validates its inputs, even internally produced ones, and the
-final results are certified by check_haar before being returned.
+The final results are certified by check_haar before being returned.
 """
 
 from __future__ import annotations
@@ -18,8 +17,9 @@ from fractions import Fraction
 from .actions import (
     Action,
     Equivalence,
-    imprimitivity_groupoid,
-    imprimitivity_iso,
+    _class_translation,
+    _imprimitivity,
+    _orbit_reps,
     is_free,
     left_action,
     opposite_equivalence,
@@ -45,6 +45,7 @@ from .systems import (
     HaarSystem,
     Measure,
     Rational,
+    _partition_reps,
     as_fraction,
     check_haar,
     check_system,
@@ -80,17 +81,6 @@ class PipelineError(ValueError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[stage: {stage}] {message}")
         self.stage = stage
-
-
-def _require(report: ValidationReport, stage: str, what: str) -> None:
-    if not report.passed:
-        raise PipelineError(stage, f"{what}: {report.violations[0].render()}")
-
-
-def _demand_valid(G: Groupoid, what: str = "groupoid") -> None:
-    report = validate_groupoid(G)
-    if not report.passed:
-        raise ValueError(f"invalid {what}: {report.violations[0].render()}")
 
 
 def check_equivariant(A: Action, system: FiberSystem) -> ValidationReport:
@@ -148,6 +138,7 @@ def psi_phi(
     """
     if beta.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
+    validate_action(A).require("invalid action")
     _require_cutoff_matches(phi, A, "averaging weight")
     values = {str(z): as_fraction(v, f"f({z})") for z, v in f.items()}
     fibers = A.moment_fibers()
@@ -166,18 +157,11 @@ def psi_phi(
     return out
 
 
-def _partition_reps(m: Mapping[str, str]) -> dict[str, str]:
-    least: dict[str, str] = {}
-    for k in sorted(m, reverse=True):
-        least[m[k]] = k
-    return {k: least[m[k]] for k in m}
-
-
 def _require_cutoff_matches(phi: Cutoff, A: Action, context: str) -> None:
+    """Check phi's quotient against the orbits of A, a valid action."""
     if set(phi.quotient_map) != set(A.carrier):
         raise ValueError(f"{context}: cut-off quotient domain differs from the carrier")
-    _, q = orbit_space(A)
-    if _partition_reps(phi.quotient_map) != _partition_reps(q):
+    if _partition_reps(phi.quotient_map) != _partition_reps(_orbit_reps(A)):
         raise ValueError(f"{context}: cut-off quotient does not induce the orbit partition")
 
 
@@ -197,20 +181,19 @@ def average_system(
     G = A.groupoid
     if lam.groupoid != G:
         raise ValueError("haar system and action disagree on the groupoid")
-    _demand_valid(G)
-    report = check_haar(G, lam)
-    if not report.passed:
-        raise ValueError(f"not a Haar system: {report.violations[0].render()}")
-    report = validate_action(A)
-    if not report.passed:
-        raise ValueError(f"invalid action: {report.violations[0].render()}")
+    validate_groupoid(G).require("invalid groupoid")
+    check_haar(G, lam).require("not a Haar system")
+    validate_action(A).require("invalid action")
     if beta.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
-    report = check_system(beta)
-    if not report.passed:
-        raise ValueError(f"not a full system: {report.violations[0].render()}")
+    check_system(beta).require("not a full system")
     _require_cutoff_matches(phi, A, "averaging weight")
+    return _average(lam, A, beta, phi)
 
+
+def _average(lam: HaarSystem, A: Action, beta: FiberSystem, phi: Cutoff) -> FiberSystem:
+    """average_system on inputs already checked to fit together."""
+    G = A.groupoid
     fibers = A.moment_fibers()
     rfib = G.range_fibers()
     inv = G.inverse_map
@@ -229,15 +212,8 @@ def average_system(
             weights[w] = total
         measures[u] = Measure(weights)
     nu = fiber_system(A.moment, measures)
-
-    full = check_system(nu)
-    if not full.passed:
-        raise RuntimeError(f"internal: averaged system not full: {full.violations[0].render()}")
-    equi = check_equivariant(A, nu)
-    if not equi.passed:
-        raise RuntimeError(
-            f"internal: averaged system not equivariant: {equi.violations[0].render()}"
-        )
+    check_system(nu).require("internal: averaged system not full", RuntimeError)
+    check_equivariant(A, nu).require("internal: averaged system not equivariant", RuntimeError)
     return nu
 
 
@@ -278,7 +254,7 @@ def principal_haar(G: Groupoid, beta: FiberSystem) -> HaarSystem:
     orbit map q, so a Haar system is a product: the weight of an arrow x in
     the range fiber at u is the beta-weight of s(x) in the class of u.
     """
-    _demand_valid(G)
+    validate_groupoid(G).require("invalid groupoid")
     if not is_principal(G):
         witness = sorted(
             x
@@ -291,9 +267,7 @@ def principal_haar(G: Groupoid, beta: FiberSystem) -> HaarSystem:
         raise ValueError("base map must be defined on exactly the units")
     if _partition_reps(beta.base_map) != _partition_reps(orbit):
         raise ValueError("base map does not induce the unit orbit partition")
-    report = check_system(beta)
-    if not report.passed:
-        raise ValueError(f"not a full system: {report.violations[0].render()}")
+    check_system(beta).require("not a full system")
 
     q = beta.base_map
     measures = {
@@ -311,16 +285,12 @@ def blowup_haar(
     The weight of a triple (z, g, w) in the range fiber at z is the
     lam-weight of g times the beta-weight of w over s(g).
     """
-    _demand_valid(G)
-    report = check_haar(G, lam)
-    if not report.passed:
-        raise ValueError(f"not a Haar system: {report.violations[0].render()}")
+    validate_groupoid(G).require("invalid groupoid")
+    check_haar(G, lam).require("not a Haar system")
     fm = {str(z): str(u) for z, u in f.items()}
     if beta.base_map != fm:
         raise ValueError("base map mismatch: expected the blow-up map")
-    report = check_system(beta)
-    if not report.passed:
-        raise ValueError(f"not a full system: {report.violations[0].render()}")
+    check_system(beta).require("not a full system")
 
     big = blow_up(G, fm)
     zs = sorted(fm)
@@ -344,22 +314,21 @@ def imprimitivity_haar(A: Action, nu: FiberSystem) -> HaarSystem:
     not taken on faith: the candidate weight is recomputed from every
     representative pair and any disagreement is an error.
     """
-    _demand_valid(A.groupoid)
-    report = validate_action(A)
-    if not report.passed:
-        raise ValueError(f"invalid action: {report.violations[0].render()}")
+    validate_groupoid(A.groupoid).require("invalid groupoid")
+    validate_action(A).require("invalid action")
     if not is_free(A):
         raise ValueError("imprimitivity needs a free action")
     if nu.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
-    report = check_system(nu)
-    if not report.passed:
-        raise ValueError(f"not a full system: {report.violations[0].render()}")
-    report = check_equivariant(A, nu)
-    if not report.passed:
-        raise ValueError(f"not equivariant: {report.violations[0].render()}")
+    check_system(nu).require("not a full system")
+    check_equivariant(A, nu).require("not equivariant")
+    return _induce(A, nu, *_imprimitivity(A))
 
-    imp, labeling = imprimitivity_groupoid(A)
+
+def _induce(
+    A: Action, nu: FiberSystem, imp: Groupoid, labeling: dict[tuple[str, str], str]
+) -> HaarSystem:
+    """imprimitivity_haar on checked inputs, given the imprimitivity groupoid of A."""
     candidate: dict[str, tuple[Fraction, tuple[str, str]]] = {}
     for (y, x), c in sorted(labeling.items()):
         value = nu.weight(A.moment[y], x)
@@ -407,58 +376,41 @@ def transfer_haar(
     action; read it off along the canonical identification with the right
     groupoid; certify the result.  Every failure names its stage.
     """
+    stage = "groupoid"
     try:
-        _demand_valid(G, "left groupoid")
-        _demand_valid(E.right.groupoid, "right groupoid")
-    except ValueError as exc:
-        raise PipelineError("groupoid", str(exc)) from exc
-    if E.left.groupoid != G:
-        raise PipelineError("equivalence", "left groupoid of the equivalence is not the given one")
-    _require(validate_equivalence(E), "equivalence", "invalid equivalence")
-    if lam.groupoid != G:
-        raise PipelineError("haar", "haar system bound to a different groupoid")
-    _require(check_haar(G, lam), "haar", "not a Haar system")
-
-    try:
+        validate_groupoid(G).require("invalid left groupoid")
+        validate_groupoid(E.right.groupoid).require("invalid right groupoid")
+        stage = "equivalence"
+        if E.left.groupoid != G:
+            raise ValueError("left groupoid of the equivalence is not the given one")
+        validate_equivalence(E).require("invalid equivalence")
+        stage = "haar"
+        if lam.groupoid != G:
+            raise ValueError("haar system bound to a different groupoid")
+        check_haar(G, lam).require("not a Haar system")
+        stage = "beta"
         beta = default_beta(E) if beta is None else beta
         if beta.base_map != E.left.moment:
             raise ValueError("base map mismatch: expected the left moment map")
-        _require(check_system(beta), "beta", "not a full system")
-    except PipelineError:
-        raise
-    except ValueError as exc:
-        raise PipelineError("beta", str(exc)) from exc
-
-    try:
-        phi = default_phi(E) if phi is None else phi
+        check_system(beta).require("not a full system")
+        stage = "phi"
+        phi = representative_cutoff(_orbit_reps(E.left)) if phi is None else phi
         _require_cutoff_matches(phi, E.left, "cut-off")
-    except PipelineError:
-        raise
-    except ValueError as exc:
-        raise PipelineError("phi", str(exc)) from exc
-
-    try:
-        nu = average_system(lam, E.left, beta, phi)
-    except ValueError as exc:
-        raise PipelineError("average", str(exc)) from exc
-
-    try:
-        induced = imprimitivity_haar(E.left, nu)
-        imp, labeling, iso = imprimitivity_iso(E)
-        if induced.groupoid != imp:
-            raise ValueError("imprimitivity groupoid mismatch")
-    except ValueError as exc:
-        raise PipelineError("imprimitivity", str(exc)) from exc
-
-    H = E.right.groupoid
-    try:
+        stage = "average"
+        nu = _average(lam, E.left, beta, phi)
+        stage = "imprimitivity"
+        imp, labeling = _imprimitivity(E.left)
+        induced = _induce(E.left, nu, imp, labeling)
+        iso = _class_translation(E, imp, labeling)
+        stage = "induction"
+        H = E.right.groupoid
         measures = {
             iso[u]: Measure({iso[c]: w for c, w in induced.measure(u).items()})
             for u in imp.sorted_units()
         }
         return make_haar(H, fiber_system(H.range_map, measures), "transferred system")
     except ValueError as exc:
-        raise PipelineError("induction", str(exc)) from exc
+        raise PipelineError(stage, str(exc)) from exc
 
 
 def transitive_haar(G: Groupoid, v: str, mu: HaarSystem) -> HaarSystem:
@@ -469,7 +421,7 @@ def transitive_haar(G: Groupoid, v: str, mu: HaarSystem) -> HaarSystem:
     Swapping the two sides of that equivalence and transferring mu through
     it lands a Haar system back on G.
     """
-    _demand_valid(G)
+    validate_groupoid(G).require("invalid groupoid")
     if v not in G.units:
         raise ValueError(f"not a unit: {v}")
     orbit = unit_orbit_map(G)

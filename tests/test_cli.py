@@ -9,12 +9,21 @@ import sys
 
 import pytest
 
-from haarsys import Document, counting_haar, make_groupoid, parse, serialize
+from haarsys import (
+    Action,
+    Document,
+    Equivalence,
+    counting_haar,
+    make_groupoid,
+    parse,
+    serialize,
+)
 from haarsys.cli import main
 from haarsys.fixtures import (
     fixture_corpus,
     pair2,
     pair3,
+    trivial_group,
     weighted_pair3_haar,
     z2,
     z2_skew_system,
@@ -294,6 +303,73 @@ def test_assoc_check_flags_the_skewed_system(tmp_path, capsys):
     assert main(["assoc-check", "--groupoid", g, "--system", s]) == 1
     out = capsys.readouterr().out
     assert "lhs=2" in out and "rhs=4" in out
+
+
+# ---------------------------------------------------------------------------
+# inputs that parse but break the groupoid laws
+
+
+def pair3_without(x, y):
+    G = pair3()
+    compose = {k: v for k, v in G.compose_map.items() if k != (x, y)}
+    return make_groupoid(G.elements, G.units, G.range_map, G.source_map, G.inverse_map, compose)
+
+
+@pytest.mark.parametrize("command", ["check-haar", "convolve", "assoc-check"])
+def test_missing_composition_entry_exits_one(command, tmp_path, capsys):
+    x, y = "pair:1,2", "pair:2,3"
+    g = write_doc(tmp_path, "g.json", Document("groupoid", pair3_without(x, y)))
+    s = write_doc(tmp_path, "s.json", Document("system", counting_haar(pair3()).system))
+    argv = [command, "--groupoid", g, "--system", s]
+    if command == "convolve":
+        f = write_doc(tmp_path, "f.json", Document("function", {x: 1}))
+        h = write_doc(tmp_path, "h.json", Document("function", {y: 1}))
+        argv += ["--f", f, "--h", h]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    missing = f"compose missing on composable pair: x={x} y={y}"
+    if command == "check-haar":
+        assert f"violation {missing}" in captured.out.splitlines()
+    else:
+        assert captured.err == f"error: convolve: {missing}\n"
+
+
+def non_unit_range_equivalence():
+    # the arrow h of H has range h, which is not a unit
+    H = make_groupoid(
+        ["a", "b", "h"],
+        ["a", "b"],
+        {"a": "a", "b": "b", "h": "h"},
+        {"a": "a", "b": "b", "h": "b"},
+        {"a": "a", "b": "b", "h": "h"},
+        {("a", "a"): "a", ("b", "b"): "b"},
+    )
+    left = Action(trivial_group(), frozenset({"z"}), {"z": "e"}, {("e", "z"): "z"})
+    right = Action(H, frozenset({"z"}), {"z": "a"}, {("a", "z"): "z"}, "right")
+    return Equivalence(left, right)
+
+
+def partial_moment_equivalence():
+    # the left moment map misses the carrier point z2
+    carrier = frozenset({"z1", "z2"})
+    fixed = {("e", "z1"): "z1", ("e", "z2"): "z2"}
+    left = Action(trivial_group(), carrier, {"z1": "e"}, fixed)
+    right = Action(trivial_group(), carrier, {"z1": "e", "z2": "e"}, fixed, "right")
+    return Equivalence(left, right)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (non_unit_range_equivalence, "violation right moment not surjective: unit=b"),
+        (partial_moment_equivalence, "violation left action not free: g=e z=z2"),
+    ],
+    ids=["non-unit-range", "partial-moment"],
+)
+def test_validate_parseable_broken_equivalence_exits_one(make, expected, tmp_path, capsys):
+    path = write_doc(tmp_path, "e.json", Document("equivalence", make()))
+    assert main(["validate", path]) == 1
+    assert expected in capsys.readouterr().out.splitlines()
 
 
 # ---------------------------------------------------------------------------

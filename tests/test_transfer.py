@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import generators as gen
 from isosearch import isomorphic
+from haarsys import actions, groupoids, systems
 from haarsys import (
     Measure,
     PipelineError,
@@ -453,3 +456,36 @@ def test_transfer_stage_errors_name_their_stage():
     with pytest.raises(PipelineError) as err:
         transfer_haar(pair3(), weighted_pair3_haar(), E, beta=bad_beta)
     assert err.value.stage == "beta"
+
+
+# ---------------------------------------------------------------------------
+# validator budget: each input is checked once, at the public boundary
+
+TRANSFER_BUDGET = {
+    (actions, "validate_action"): 2,  # once per side, inside validate_equivalence
+    (groupoids, "validate_groupoid"): 2,  # the two groupoids
+    (systems, "check_haar"): 3,  # lam, the imprimitivity system, the result
+    (groupoids, "make_groupoid"): 1,  # the imprimitivity groupoid, built once
+    (actions, "orbit_space"): 0,
+}
+
+
+def test_transfer_validates_each_input_once(monkeypatch):
+    G, lam, E = pair3(), weighted_pair3_haar(), rect32()
+    calls: Counter = Counter()
+    for home, name in TRANSFER_BUDGET:
+        original = getattr(home, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname == "haarsys" or modname.startswith("haarsys."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    transfer_haar(G, lam, E)
+    assert {name: calls[name] for _, name in TRANSFER_BUDGET} == {
+        name: n for (_, name), n in TRANSFER_BUDGET.items()
+    }
