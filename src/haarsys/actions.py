@@ -12,7 +12,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .groupoids import Groupoid, ValidationReport, Violation, _least_components, make_groupoid
+from .groupoids import (
+    Groupoid,
+    ValidationReport,
+    Violation,
+    _fibers,
+    _least_components,
+    make_groupoid,
+    validate_groupoid,
+)
 
 __all__ = [
     "Action",
@@ -64,10 +72,7 @@ class Action:
         return self.apply(self.groupoid.inv(g), z)
 
     def moment_fibers(self) -> dict[str, list[str]]:
-        fib: dict[str, list[str]] = {}
-        for z in self.sorted_carrier():
-            fib.setdefault(self.moment.get(z, ""), []).append(z)
-        return fib
+        return _fibers(self.sorted_carrier(), lambda z: self.moment.get(z, ""))
 
 
 def _canon_action(groupoid: Groupoid, carrier, moment, act, side: str) -> Action:
@@ -80,6 +85,12 @@ def _canon_action(groupoid: Groupoid, carrier, moment, act, side: str) -> Action
     )
 
 
+def _action_domain(G: Groupoid, carrier, moment: Mapping[str, str]) -> set[tuple[str, str]]:
+    """The pairs (g, z) with source(g) == moment(z): where an action table must be defined."""
+    sfib = _fibers(G.elements, G.source_map.get)
+    return {(g, z) for z in carrier for g in sfib.get(moment.get(z), ())}
+
+
 def _check_domain(groupoid: Groupoid, carrier: set[str], moment: dict[str, str], act) -> None:
     if set(moment) != carrier:
         extra = sorted(set(moment) ^ carrier)
@@ -87,12 +98,7 @@ def _check_domain(groupoid: Groupoid, carrier: set[str], moment: dict[str, str],
     for z, u in sorted(moment.items()):
         if u not in groupoid.units:
             raise ValueError(f"moment value must be a unit: {z} -> {u}")
-    expected = {
-        (g, z)
-        for g in groupoid.elements
-        for z in carrier
-        if groupoid.source_map[g] == moment[z]
-    }
+    expected = _action_domain(groupoid, carrier, moment)
     got = set(act)
     for key in sorted(got - expected):
         raise ValueError(f"action defined off its domain: {key}")
@@ -153,15 +159,20 @@ def opposite(A: Action) -> Action:
 
 def is_free(A: Action) -> bool:
     """True when only the moment unit fixes each point."""
-    return all(
-        g == A.moment.get(z)
-        for (g, z), w in A.act.items()
-        if w == z
-    )
+    return _unfree_pair(A) is None
+
+
+def _unfree_pair(A: Action) -> tuple[str, str] | None:
+    """The least (g, z) where g fixes z but is not the moment unit of z, if there is one."""
+    return min(((g, z) for (g, z), w in A.act.items() if w == z and g != A.moment.get(z)), default=None)
 
 
 def validate_action(A: Action) -> ValidationReport:
-    """Check the action laws; freeness is reported in the notes, not enforced."""
+    """Check the action laws; freeness is reported in the notes, not enforced.
+
+    Domain and compatibility walk fibers, not G x G x Z:
+    O(|Z| + |G| + |act| + composable pairs x moment-fiber size).
+    """
     bad: list[Violation] = []
     G = A.groupoid
     car = A.carrier
@@ -176,12 +187,7 @@ def validate_action(A: Action) -> ValidationReport:
             bad.append(Violation("moment key off carrier", (f"z={z}",)))
 
     mom = A.moment.get
-    expected = {
-        (g, z)
-        for g in G.elements
-        for z in car
-        if G.source_map.get(g) == mom(z)
-    }
+    expected = _action_domain(G, car, A.moment)
     for key in sorted(set(A.act) - expected):
         bad.append(Violation("domain", (f"g={key[0]}", f"z={key[1]}", "off the composable pairs")))
     for key in sorted(expected - set(A.act)):
@@ -203,23 +209,21 @@ def validate_action(A: Action) -> ValidationReport:
             bad.append(Violation("moment of translate", (f"g={g}", f"z={z}", f"moment={mom(w)}")))
 
     # compatibility: (gh).z == g.(h.z) whenever source(g) == range(h)
+    rfib = _fibers(G.sorted_elements(), G.range_map.get)
+    mfib = _fibers(A.sorted_carrier(), mom)
     for g in G.sorted_elements():
-        for h in G.sorted_elements():
-            if G.source_map.get(g) != G.range_map.get(h):
-                continue
+        for h in rfib.get(G.source_map.get(g), ()):
             gh = G.compose_map.get((g, h))
             if gh is None:
                 continue
-            for z in A.sorted_carrier():
-                if mom(z) != G.source_map.get(h):
-                    continue
+            for z in mfib.get(G.source_map.get(h), ()):
                 lhs = act((gh, z))
                 hz = act((h, z))
                 rhs = act((g, hz)) if hz is not None else None
                 if lhs is not None and rhs is not None and lhs != rhs:
                     bad.append(Violation("compatibility", (f"g={g}", f"h={h}", f"z={z}")))
 
-    free = "true" if is_free(A) else "false"
+    free = "true" if _unfree_pair(A) is None else "false"
     return ValidationReport(tuple(bad), (f"free: {free}", PROPERNESS_NOTE))
 
 
@@ -298,13 +302,12 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
     """
     bad: list[Violation] = []
     for A in (E.left, E.right):
-        for v in validate_action(A).violations:
+        report = validate_action(A)
+        for v in report.violations:
             bad.append(Violation(f"{A.side} action {v.law}", v.witness))
-        if not is_free(A):
-            witness = next(
-                (g, z) for (g, z), w in sorted(A.act.items()) if w == z and g != A.moment.get(z)
-            )
-            bad.append(Violation(f"{A.side} action not free", (f"g={witness[0]}", f"z={witness[1]}")))
+        if "free: false" in report.notes:
+            g, z = _unfree_pair(A)
+            bad.append(Violation(f"{A.side} action not free", (f"g={g}", f"z={z}")))
     if bad:
         return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
 
@@ -365,9 +368,13 @@ def imprimitivity_groupoid(
     classes is computed through the unique translating element supplied by
     freeness.  Returns the groupoid together with the map sending each pair
     to its class token; tokens name the least pair in each orbit.
+
+    Orbits and products walk source and range fibers: O(|G| + (pairs +
+    composable pairs of classes) x source-fiber size).
     """
     if orientation is not None and orientation != A.side:
         raise ValueError(f"orientation {orientation!r} does not match the action's side {A.side!r}")
+    validate_groupoid(A.groupoid).require("invalid groupoid")
     validate_action(A).require("invalid action")
     if not is_free(A):
         raise ValueError("imprimitivity groupoid needs a free action")
@@ -378,18 +385,8 @@ def _imprimitivity(A: Action) -> tuple[Groupoid, dict[tuple[str, str], str]]:
     """imprimitivity_groupoid of an action already known to be valid and free."""
     G = A.groupoid
     mom = A.moment
-    fibers = A.moment_fibers()
-    pairs = [
-        (x, y)
-        for zs in fibers.values()
-        for x in zs
-        for y in zs
-    ]
-    pairs.sort()
-
-    sfib: dict[str, list[str]] = {}
-    for g in G.sorted_elements():
-        sfib.setdefault(G.source_map[g], []).append(g)
+    pairs = sorted((x, y) for zs in A.moment_fibers().values() for x in zs for y in zs)
+    sfib = _fibers(G.sorted_elements(), G.source_map.get)
 
     def diagonal(pair: tuple[str, str]):
         x, y = pair
@@ -411,21 +408,14 @@ def _imprimitivity(A: Action) -> tuple[Groupoid, dict[tuple[str, str], str]]:
         source_map[c] = labeling[(y, y)]
         inverse_map[c] = labeling[(y, x)]
 
-    def translate(w: str, y: str) -> str | None:
-        # unique g with g.w == y, when the pairs (w, w) and (y, y) share a class
-        for g in sfib.get(mom[w], ()):
-            if A.act[(g, w)] == y:
-                return g
-        return None
-
+    by_range = _fibers(classes, range_map.get)
     compose = {}
     for c1 in classes:
         x, y = class_rep[c1]
-        for c2 in classes:
-            if source_map[c1] != range_map[c2]:
-                continue
+        for c2 in by_range.get(source_map[c1], ()):
             w, z = class_rep[c2]
-            g = translate(w, y)
+            # the unique g with g.w == y, when the pairs (w, w) and (y, y) share a class
+            g = next((g for g in sfib.get(mom[w], ()) if A.act[(g, w)] == y), None)
             if g is None:
                 raise ValueError(f"composable classes without a translator: {c1} {c2}")
             compose[(c1, c2)] = labeling[(x, A.act[(g, z)])]
@@ -445,7 +435,14 @@ def imprimitivity_iso(
     to y; freeness and fiberwise transitivity make it exist uniquely.  The
     returned map is checked to be a bijection preserving all structure.
     """
-    imp, labeling = imprimitivity_groupoid(E.left)
+    validate_groupoid(E.left.groupoid).require("invalid left groupoid")
+    validate_groupoid(E.right.groupoid).require("invalid right groupoid")
+    report = validate_equivalence(E)
+    if not report.passed:
+        # an invalid left action keeps the message imprimitivity_groupoid gives it
+        validate_action(E.left).require("invalid action")
+        report.require("invalid equivalence")
+    imp, labeling = _imprimitivity(E.left)
     return imp, labeling, _class_translation(E, imp, labeling)
 
 
@@ -455,9 +452,7 @@ def _class_translation(
     """The iso of imprimitivity_iso, for a checked equivalence and its imprimitivity groupoid."""
     H = E.right.groupoid
     sigma = E.right.moment
-    class_rep: dict[str, tuple[str, str]] = {}
-    for p in sorted(labeling):
-        class_rep.setdefault(labeling[p], p)
+    class_rep = {c: pairs[0] for c, pairs in _fibers(sorted(labeling), labeling.get).items()}
 
     hr = H.range_fibers()
     iso: dict[str, str] = {}

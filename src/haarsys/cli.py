@@ -140,6 +140,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
         meta = {"construction": "blow-up haar"}
         _write_text(args.out, serialize(Document("system", kappa.system, meta)))
     else:
+        validate_groupoid(G).require("invalid groupoid")
         big = blow_up(G, fm)
         _write_text(args.out, serialize(Document("groupoid", big, {"construction": "blow-up"})))
     return 0

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 
-from .groupoids import Groupoid, ValidationReport, Violation
+from .groupoids import Groupoid, ValidationReport, Violation, _fibers
 from .systems import FiberSystem, HaarSystem, Rational, as_fraction
 
 __all__ = [
@@ -105,21 +105,25 @@ def convolve(
     """Convolve two functions against a fiber family over the range map.
 
     The family does not have to be a Haar system; associativity of the
-    resulting product is exactly what left invariance buys.
+    resulting product is exactly what left invariance buys.  With h indexed
+    by range: O(|f| + |h| + composable support pairs).
     """
     if f.groupoid != h.groupoid:
         raise ValueError("groupoid mismatch")
     G = f.groupoid
     sys = _bind(G, lam, "convolve")
+    ends = (("range", G.range_map, chain(f.values, h.values)), ("source", G.source_map, f.values))
+    for name, table, points in ends:
+        for x in points:
+            if x not in table:
+                raise ValueError(f"convolve: {name} undefined: x={x}")
+    by_range = _fibers(h.items(), lambda item: G.range_map[item[0]])
     out: dict[str, Fraction] = {}
     for y, fy in f.items():
         wy = sys.weight(G.range_map[y], y)
         if wy == 0:
             continue
-        sy = G.source_map[y]
-        for z, hz in h.items():
-            if G.range_map[z] != sy:
-                continue
+        for z, hz in by_range.get(G.source_map[y], ()):
             x = G.compose_map.get((y, z))
             if x is None:
                 raise ValueError(f"convolve: compose missing on composable pair: x={y} y={z}")

@@ -115,13 +115,9 @@ class Groupoid:
     def range_fiber(self, u: str) -> list[str]:
         return sorted(x for x in self.elements if self.range_map.get(x) == u)
 
-    def source_fiber(self, u: str) -> list[str]:
-        return sorted(x for x in self.elements if self.source_map.get(x) == u)
-
     def range_fibers(self) -> dict[str, list[str]]:
         fib: dict[str, list[str]] = {u: [] for u in self.sorted_units()}
-        for x in self.sorted_elements():
-            fib.setdefault(self.range_map.get(x, ""), []).append(x)
+        fib.update(_fibers(self.sorted_elements(), lambda x: self.range_map.get(x, "")))
         return fib
 
 
@@ -198,9 +194,7 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
         if C[(x, y)] not in E:
             bad.append(Violation("compose value unknown", (f"x={x}", f"y={y}", f"value={C[(x, y)]}")))
 
-    rfib: dict[str, list[str]] = {}
-    for x in els:
-        rfib.setdefault(r(x), []).append(x)
+    rfib = _fibers(els, r)
     for x in els:
         for y in rfib.get(s(x), ()):
             if (x, y) not in C:
@@ -257,10 +251,14 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
 
 def is_principal(G: Groupoid) -> bool:
     """True when only units have equal range and source."""
-    return all(
-        x in G.units
-        for x in G.elements
-        if G.range_map.get(x) == G.source_map.get(x)
+    return _isotropy_arrow(G) is None
+
+
+def _isotropy_arrow(G: Groupoid) -> str | None:
+    """The least non-unit arrow with equal range and source, if there is one."""
+    return min(
+        (x for x in G.elements if x not in G.units and G.range_map.get(x) == G.source_map.get(x)),
+        default=None,
     )
 
 
@@ -277,6 +275,14 @@ def unit_orbit_map(G: Groupoid) -> dict[str, str]:
             adj[u].add(v)
             adj[v].add(u)
     return _least_components(sorted(G.units), adj.__getitem__)
+
+
+def _fibers(points: Iterable, key: Callable) -> dict:
+    """Group points by key(point), keeping their order inside each group."""
+    groups: dict = {}
+    for p in points:
+        groups.setdefault(key(p), []).append(p)
+    return groups
 
 
 def _least_components(nodes: Iterable, neighbours: Callable[..., Iterable]) -> dict:
@@ -451,9 +457,7 @@ def relation_groupoid(q: Mapping[str, str], codomain: Iterable[str] | None = Non
         unreached = sorted(targets - image)
         if unreached:
             raise ValueError(f"quotient map not surjective; unreached targets: {', '.join(unreached)}")
-    fibers: dict[str, list[str]] = {}
-    for u in sorted(qm):
-        fibers.setdefault(qm[u], []).append(u)
+    fibers = _fibers(sorted(qm), qm.get)
 
     elements = []
     units = set()
@@ -485,9 +489,8 @@ def stability_group(G: Groupoid, v: str) -> tuple[Groupoid, tuple[str, ...]]:
     """
     if v not in G.units:
         raise ValueError(f"not a unit: {v}")
-    members = sorted(
-        x for x in G.elements if G.range_map.get(x) == v and G.source_map.get(x) == v
-    )
+    carrier = tuple(sorted(x for x in G.elements if G.source_map.get(x) == v))
+    members = [x for x in carrier if G.range_map.get(x) == v]
     compose = {
         (x, y): G.compose_map[(x, y)] for x in members for y in members
     }
@@ -499,7 +502,6 @@ def stability_group(G: Groupoid, v: str) -> tuple[Groupoid, tuple[str, ...]]:
         {x: G.inverse_map[x] for x in members},
         compose,
     )
-    carrier = tuple(sorted(x for x in G.elements if G.source_map.get(x) == v))
     return group, carrier
 
 
@@ -511,7 +513,8 @@ def blow_up(G: Groupoid, f: Mapping[str, str]) -> Groupoid:
     """Pull G back along a surjection f from a new unit space onto G's units.
 
     Arrows are triples (z, g, w) with f(z) = r(g) and s(g) = f(w), composing
-    by (z, g, w)(w, g', v) = (z, gg', v).
+    by (z, g, w)(w, g', v) = (z, gg', v).  Built by walking fibers:
+    O(|G| + |Z| + composable pairs of triples).
     """
     fm = {str(z): str(u) for z, u in f.items()}
     if not fm:
@@ -524,13 +527,13 @@ def blow_up(G: Groupoid, f: Mapping[str, str]) -> Groupoid:
         raise ValueError(f"blow-up map not surjective; missed units: {', '.join(missing)}")
 
     zs = sorted(fm)
+    rfib = _fibers(G.sorted_elements(), G.range_map.get)
+    over = _fibers(zs, fm.get)
     triples = [
         (z, g, w)
         for z in zs
-        for g in G.sorted_elements()
-        if G.range_map[g] == fm[z]
-        for w in zs
-        if G.source_map[g] == fm[w]
+        for g in rfib.get(fm[z], ())
+        for w in over.get(G.source_map.get(g), ())
     ]
     elements = [blowup_arrow(*t) for t in triples]
     if len(set(elements)) != len(triples):
@@ -545,9 +548,9 @@ def blow_up(G: Groupoid, f: Mapping[str, str]) -> Groupoid:
         range_map[a] = blowup_arrow(z, fm[z], z)
         source_map[a] = blowup_arrow(w, fm[w], w)
         inverse_map[a] = blowup_arrow(w, G.inverse_map[g], z)
+    starting = _fibers(triples, lambda t: t[0])
     for z, g, w in triples:
         a = blowup_arrow(z, g, w)
-        for w2, g2, v in triples:
-            if w2 == w:
-                compose[(a, blowup_arrow(w2, g2, v))] = blowup_arrow(z, G.compose_map[(g, g2)], v)
+        for _, g2, v in starting.get(w, ()):
+            compose[(a, blowup_arrow(w, g2, v))] = blowup_arrow(z, G.compose_map[(g, g2)], v)
     return make_groupoid(elements, units, range_map, source_map, inverse_map, compose)

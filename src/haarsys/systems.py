@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Union
 
-from .groupoids import Groupoid, ValidationReport, Violation
+from .groupoids import Groupoid, ValidationReport, Violation, _fibers
 
 __all__ = [
     "Cutoff",
@@ -140,7 +140,7 @@ def full_fiber_system(
 
     Weights default to counting (1 on every point) and must be strictly
     positive, so the result is full by construction.  An explicitly given
-    codomain must be entirely reached by pi.
+    codomain must be entirely reached by pi.  Fibers are indexed once: O(|pi| log |pi|).
     """
     base = {str(y): str(x) for y, x in pi.items()}
     targets = sorted(set(base.values()))
@@ -164,7 +164,7 @@ def full_fiber_system(
                 raise ValueError(f"full system needs strictly positive weights: {y} -> {w}")
             per_point[y] = w
     measures = {
-        x: Measure({y: per_point[y] for y in base if base[y] == x}) for x in targets
+        x: Measure({y: per_point[y] for y in fiber}) for x, fiber in _fibers(base, base.get).items()
     }
     return fiber_system(base, measures)
 
@@ -172,16 +172,13 @@ def full_fiber_system(
 def check_system(system: FiberSystem) -> ValidationReport:
     """Check support containment in fibers and fullness, with witnesses."""
     bad: list[Violation] = []
-    fibers: dict[str, set[str]] = {x: set() for x in system.codomain()}
-    for y in system.domain():
-        fibers.setdefault(system.base_map[y], set()).add(y)
+    fibers = _fibers(system.domain(), system.base_map.get)
     for x in system.codomain():
-        fiber = fibers.get(x, set())
         m = system.measure(x)
         for y in m.support:
-            if y not in fiber:
+            if system.base_map.get(y) != x:
                 bad.append(Violation("support containment", (f"base={x}", f"point={y}")))
-        for y in sorted(fiber):
+        for y in fibers.get(x, ()):
             if m.weight(y) == 0:
                 bad.append(Violation("fullness", (f"base={x}", f"point={y}")))
     return ValidationReport(tuple(bad), (CONTINUITY_NOTE,))
@@ -211,6 +208,8 @@ def check_haar(G: Groupoid, system: FiberSystem | HaarSystem) -> ValidationRepor
     Left invariance is pointwise: the weight of z in the range fiber at r(x)
     must equal the weight of inv(x)z at s(x), for every arrow x.  The base
     map must be G's range map on the nose; anything else is a usage error.
+    An arrow whose range, source or inverse is missing is reported, with
+    validate_groupoid's law name, instead of being checked.
     """
     if isinstance(system, HaarSystem) and system.groupoid != G:
         raise ValueError("haar system bound to a different groupoid")
@@ -229,8 +228,11 @@ def check_haar(G: Groupoid, system: FiberSystem | HaarSystem) -> ValidationRepor
             if m.weight(y) == 0:
                 bad.append(Violation("fullness", (f"unit={u}", f"arrow={y}")))
     for x in G.sorted_elements():
-        rx, sx = G.range_map[x], G.source_map[x]
-        xi = G.inverse_map[x]
+        rx, sx, xi = (table.get(x) for table in (G.range_map, G.source_map, G.inverse_map))
+        gaps = [name for name, end in (("range", rx), ("source", sx), ("inverse", xi)) if end is None]
+        bad.extend(Violation(f"{name} undefined", (f"x={x}",)) for name in gaps)
+        if gaps:
+            continue
         left = sys.measure(rx)
         right = sys.measure(sx)
         for z in rfib.get(rx, ()):
@@ -356,9 +358,7 @@ def uniform_cutoff(q: Mapping[str, str]) -> Cutoff:
 
 def _partition_reps(q: Mapping[str, str]) -> dict[str, str]:
     """Map each point to the least point of its quotient fiber."""
-    least: dict[str, str] = {}
-    for z in sorted(q, reverse=True):
-        least[q[z]] = z
+    least = {x: fiber[0] for x, fiber in _fibers(sorted(q), q.get).items()}
     return {z: least[q[z]] for z in q}
 
 

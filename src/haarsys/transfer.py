@@ -17,6 +17,7 @@ from fractions import Fraction
 from .actions import (
     Action,
     Equivalence,
+    _action_domain,
     _class_translation,
     _imprimitivity,
     _orbit_reps,
@@ -32,9 +33,10 @@ from .groupoids import (
     Groupoid,
     ValidationReport,
     Violation,
+    _fibers,
+    _isotropy_arrow,
     blow_up,
     blowup_arrow,
-    is_principal,
     stability_group,
     unit_orbit_map,
     validate_groupoid,
@@ -118,12 +120,13 @@ def fiber_integrate(
     """
     table = {(str(g), str(z)): as_fraction(v, f"F({g}, {z})") for (g, z), v in F.items()}
     gs = sorted({g for g, _ in table})
+    fibers = _fibers(beta.domain(), beta.base_map.get)
     out: dict[tuple[str, str], Fraction] = {}
     for g in gs:
         for u in beta.codomain():
             m = beta.measure(u)
             out[(g, u)] = sum(
-                (table.get((g, z), ZERO) * m.weight(z) for z in beta.fiber(u)), ZERO
+                (table.get((g, z), ZERO) * m.weight(z) for z in fibers.get(u, ())), ZERO
             )
     return out
 
@@ -255,12 +258,8 @@ def principal_haar(G: Groupoid, beta: FiberSystem) -> HaarSystem:
     the range fiber at u is the beta-weight of s(x) in the class of u.
     """
     validate_groupoid(G).require("invalid groupoid")
-    if not is_principal(G):
-        witness = sorted(
-            x
-            for x in G.elements
-            if x not in G.units and G.range_map.get(x) == G.source_map.get(x)
-        )[0]
+    witness = _isotropy_arrow(G)
+    if witness is not None:
         raise ValueError(f"not principal: non-unit arrow with equal range and source: {witness}")
     orbit = unit_orbit_map(G)
     if sorted(beta.base_map) != G.sorted_units():
@@ -294,14 +293,15 @@ def blowup_haar(
 
     big = blow_up(G, fm)
     zs = sorted(fm)
+    rfib = G.range_fibers()
+    over = _fibers(zs, fm.get)
     measures: dict[str, Measure] = {}
     for z in zs:
         weights: dict[str, Fraction] = {}
-        for g in G.range_fiber(fm[z]):
+        for g in rfib[fm[z]]:
             sg = G.source_map[g]
-            for w in zs:
-                if fm[w] == sg:
-                    weights[blowup_arrow(z, g, w)] = lam.weight(fm[z], g) * beta.weight(sg, w)
+            for w in over.get(sg, ()):
+                weights[blowup_arrow(z, g, w)] = lam.weight(fm[z], g) * beta.weight(sg, w)
         measures[blowup_arrow(z, fm[z], z)] = Measure(weights)
     return make_haar(big, fiber_system(big.range_map, measures), "blow-up system")
 
@@ -342,10 +342,9 @@ def _induce(
         else:
             candidate[c] = (value, (y, x))
 
-    grouped: dict[str, dict[str, Fraction]] = {u: {} for u in imp.sorted_units()}
-    for c in imp.sorted_elements():
-        grouped[imp.range_map[c]][c] = candidate[c][0]
-    measures = {u: Measure(w) for u, w in grouped.items()}
+    measures = {
+        u: Measure({c: candidate[c][0] for c in fiber}) for u, fiber in imp.range_fibers().items()
+    }
     return make_haar(imp, fiber_system(imp.range_map, measures), "imprimitivity system")
 
 
@@ -433,12 +432,7 @@ def transitive_haar(G: Groupoid, v: str, mu: HaarSystem) -> HaarSystem:
         raise ValueError("haar system must live on the stability group at v")
 
     moment_left = {x: G.range_map[x] for x in carrier}
-    table_left = {
-        (g, x): G.compose_map[(g, x)]
-        for x in carrier
-        for g in G.elements
-        if G.source_map[g] == G.range_map[x]
-    }
+    table_left = {key: G.compose_map[key] for key in _action_domain(G, carrier, moment_left)}
     translation = left_action(G, carrier, moment_left, table_left)
 
     unit = group.sorted_units()[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from isosearch import isomorphic
@@ -13,17 +15,20 @@ from haarsys import (
     is_free,
     left_action,
     left_translation_action,
+    make_groupoid,
     opposite,
     opposite_equivalence,
     orbit_space,
     pair_arrow,
     pair_groupoid,
+    relation_arrow,
+    relation_groupoid,
     right_action,
     right_translation_action,
     validate_action,
     validate_equivalence,
 )
-from haarsys.fixtures import pair2, pair3, rect32, swap_action, trivial_group, z2
+from haarsys.fixtures import pair2, pair3, pair_rectangle, rect32, swap_action, trivial_group, z2
 
 
 def trivial_point_action():
@@ -225,6 +230,31 @@ def test_imprimitivity_needs_freeness():
 def test_imprimitivity_orientation_tag_must_match():
     with pytest.raises(ValueError):
         imprimitivity_groupoid(swap_action(), orientation="right")
+
+
+def test_imprimitivity_groupoid_validates_the_groupoid():
+    G = z2()
+    source = {"e": "e"}  # g has lost its source
+    broken = make_groupoid(G.elements, G.units, G.range_map, source, G.inverse_map, G.compose_map)
+    A = replace(swap_action(), groupoid=broken)
+    with pytest.raises(ValueError, match="^invalid groupoid: violation source undefined: x=g$"):
+        imprimitivity_groupoid(A)
+
+
+def test_imprimitivity_iso_validates_the_equivalence():
+    # the right moment never reaches the unit rel:c,c of H
+    E = pair_rectangle(["1", "2"], ["a", "b"])
+    H = relation_groupoid({"a": "x", "b": "x", "c": "y"})
+    right = right_action(
+        H,
+        E.carrier,
+        {f"{i}|{t}": relation_arrow(t, t) for i in "12" for t in "ab"},
+        {(f"{i}|{t}", relation_arrow(t, u)): f"{i}|{u}" for i in "12" for t in "ab" for u in "ab"},
+    )
+    with pytest.raises(ValueError) as err:
+        imprimitivity_iso(Equivalence(E.left, right))
+    expected = "invalid equivalence: violation right moment not surjective: unit=rel:c,c"
+    assert str(err.value) == expected
 
 
 def test_imprimitivity_iso_matches_the_right_groupoid():

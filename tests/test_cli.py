@@ -14,8 +14,10 @@ from haarsys import (
     Document,
     Equivalence,
     counting_haar,
+    full_fiber_system,
     make_groupoid,
     parse,
+    relation_groupoid,
     serialize,
 )
 from haarsys.cli import main
@@ -332,6 +334,60 @@ def test_missing_composition_entry_exits_one(command, tmp_path, capsys):
         assert f"violation {missing}" in captured.out.splitlines()
     else:
         assert captured.err == f"error: convolve: {missing}\n"
+
+
+def pair2_without(table, x):
+    G = pair2()
+    maps = {"range": G.range_map, "source": G.source_map, "inverse": G.inverse_map}
+    maps[table] = {k: v for k, v in maps[table].items() if k != x}
+    return make_groupoid(
+        G.elements, G.units, maps["range"], maps["source"], maps["inverse"], G.compose_map
+    )
+
+
+@pytest.mark.parametrize("table", ["range", "inverse"])
+def test_check_haar_reports_a_missing_map_entry(table, tmp_path, capsys):
+    G = pair2_without(table, "pair:1,2")
+    g = write_doc(tmp_path, "g.json", Document("groupoid", G))
+    s = write_doc(tmp_path, "s.json", Document("system", full_fiber_system(G.range_map)))
+    assert main(["check-haar", "--groupoid", g, "--system", s]) == 1
+    captured = capsys.readouterr()
+    assert f"violation {table} undefined: x=pair:1,2" in captured.out.splitlines()
+    assert captured.err == ""
+
+
+def test_convolve_on_a_missing_range_entry_exits_one(tmp_path, capsys):
+    G = pair2_without("range", "pair:1,2")
+    g = write_doc(tmp_path, "g.json", Document("groupoid", G))
+    s = write_doc(tmp_path, "s.json", Document("system", full_fiber_system(G.range_map)))
+    f = write_doc(tmp_path, "f.json", Document("function", {"pair:1,2": 1}))
+    h = write_doc(tmp_path, "h.json", Document("function", {"pair:2,2": 1}))
+    assert main(["convolve", "--groupoid", g, "--system", s, "--f", f, "--h", h]) == 1
+    assert capsys.readouterr().err == "error: convolve: range undefined: x=pair:1,2\n"
+
+
+def test_blowup_on_a_groupoid_missing_an_inverse_exits_one(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", pair2_without("inverse", "pair:1,2")))
+    lift = {"p": "pair:1,1", "q": "pair:2,2"}
+    fm = tmp_path / "map.json"
+    fm.write_text(json.dumps(lift))
+    beta = write_doc(tmp_path, "beta.json", Document("system", full_fiber_system(lift)))
+    assert main(["blowup", "--groupoid", g, "--map", str(fm), "--fsystem", beta]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: invalid groupoid: violation inverse undefined: x=pair:1,2\n"
+
+
+def test_imprimitivity_on_a_groupoid_missing_a_source_exits_one(tmp_path, capsys):
+    # rel:c,c acts on no point, so the action table never mentions it
+    G = relation_groupoid({"a": "x", "b": "x", "c": "y"})
+    source = {k: v for k, v in G.source_map.items() if k != "rel:c,c"}
+    broken = make_groupoid(G.elements, G.units, G.range_map, source, G.inverse_map, G.compose_map)
+    table = {(f"rel:{u},{v}", v): u for u in "ab" for v in "ab"}
+    A = Action(broken, frozenset("ab"), {p: f"rel:{p},{p}" for p in "ab"}, table)
+    a = write_doc(tmp_path, "a.json", Document("action", A))
+    assert main(["imprimitivity", "--action", a]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: invalid groupoid: violation source undefined: x=rel:c,c\n"
 
 
 def non_unit_range_equivalence():
