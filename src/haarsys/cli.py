@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 on success, 1 when a validator or a
 construction stage rejects the mathematics, 2 when the input itself is
-unusable (unreadable file, malformed document, wrong document kind).
+unusable (unreadable file, malformed document, wrong document kind).  A
+broken internal invariant (a RuntimeError "internal: ...") also exits 1,
+with the one line "error: internal: ..." on stderr and no traceback.
 Output documents and demo texts are byte-stable across runs.
 """
 
@@ -384,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -197,6 +197,32 @@ def corrupt_groupoid(G: Groupoid, rng: random.Random) -> tuple[str, Groupoid]:
     return kind, make_groupoid(G.elements, G.units, rm, sm, im, cm)
 
 
+def corrupt_associativity(G: Groupoid, rng: random.Random) -> Groupoid | None:
+    """Change one product so that associativity is the only law that breaks.
+
+    The product of a composable pair (x, y), with neither a unit and y not
+    the inverse of x, becomes another arrow with the same range and source.
+    The unit, inverse, range and source laws still hold, and cancellation
+    shows that no valid groupoid differs from G in that one product.  None
+    when no such pair has a second arrow to move to.
+    """
+    hom: dict[tuple[str, str], list[str]] = {}
+    for a in G.sorted_elements():
+        hom.setdefault((G.r(a), G.s(a)), []).append(a)
+    pairs = [
+        (x, y)
+        for (x, y), xy in sorted(G.compose_map.items())
+        if x not in G.units and y not in G.units and y != G.inv(x)
+        and len(hom[(G.r(xy), G.s(xy))]) > 1
+    ]
+    if not pairs:
+        return None
+    key = rng.choice(pairs)
+    cm = dict(G.compose_map)
+    cm[key] = rng.choice([z for z in hom[(G.r(cm[key]), G.s(cm[key]))] if z != cm[key]])
+    return make_groupoid(G.elements, G.units, G.range_map, G.source_map, G.inverse_map, cm)
+
+
 # ---------------------------------------------------------------------------
 # random Haar systems
 

@@ -152,6 +152,20 @@ def test_transfer_mismatched_equivalence_exits_one(tmp_path, capsys):
     assert "[stage: equivalence]" in capsys.readouterr().err
 
 
+def test_internal_error_exits_one_with_one_line(monkeypatch, tmp_path, capsys):
+    def broken(*args):
+        raise RuntimeError("internal: class translation is not a bijection")
+
+    monkeypatch.setattr("haarsys.transfer._class_translation", broken)
+    g = write_doc(tmp_path, "g.json", Document("groupoid", pair3()))
+    lam = write_doc(tmp_path, "lam.json", Document("system", weighted_pair3_haar().system))
+    e = write_doc(tmp_path, "e.json", CORPUS["equivalence-rect32"])
+    assert main(["transfer", "--groupoid", g, "--haar", lam, "--equivalence", e]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: class translation is not a bijection\n"
+
+
 def test_transfer_rejects_wrong_document_kind_exits_two(tmp_path, capsys):
     g = write_doc(tmp_path, "g.json", Document("groupoid", pair3()))
     e = write_doc(tmp_path, "e.json", CORPUS["equivalence-rect32"])

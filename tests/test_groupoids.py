@@ -10,6 +10,7 @@ import generators as gen
 from isosearch import find_isomorphism, isomorphic
 from haarsys import (
     CompositionError,
+    Violation,
     blow_up,
     blowup_arrow,
     group_as_groupoid,
@@ -131,6 +132,53 @@ def test_single_entry_corruptions_are_caught():
         assert not validate_groupoid(bad).passed, kind
 
 
+def exhaustive_associativity(G):
+    """Every associativity violation, from a scan over all triples in sorted order."""
+    C = G.compose_map
+    els = G.sorted_elements()
+    return tuple(
+        Violation("associativity", (f"x={x}", f"y={y}", f"z={z}"))
+        for x in els
+        for y in els
+        if (x, y) in C
+        for z in els
+        if (y, z) in C and C[(C[(x, y)], z)] != C[(x, C[(y, z)])]
+    )
+
+
+@pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+def test_associativity_violations_match_an_exhaustive_scan(family):
+    rng = random.Random(family)
+    corrupted = 0
+    for _ in range(20):
+        G = gen.FAMILIES[family](rng)
+        bad = gen.corrupt_associativity(G, rng)
+        for table in (G,) if bad is None else (G, bad):
+            assert validate_groupoid(table).violations == exhaustive_associativity(table)
+        corrupted += bad is not None
+    # pair and relation groupoids have one arrow per range and source, so
+    # no product can change on its own
+    assert corrupted > 0 or family in ("pair", "relation")
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("inverse", "blow_up: inverse undefined: x=pair:1,2"),
+        ("compose", "blow_up: compose missing on composable pair: x=pair:1,2 y=pair:2,1"),
+    ],
+)
+def test_blow_up_names_a_missing_entry(table, message):
+    G = pair2()
+    x, y = pair_arrow("1", "2"), pair_arrow("2", "1")
+    inverse = {k: v for k, v in G.inverse_map.items() if table != "inverse" or k != x}
+    compose = {k: v for k, v in G.compose_map.items() if table != "compose" or k != (x, y)}
+    bad = make_groupoid(G.elements, G.units, G.range_map, G.source_map, inverse, compose)
+    with pytest.raises(ValueError) as exc:
+        blow_up(bad, {"p": pair_arrow("1", "1"), "q": pair_arrow("2", "2")})
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # groups as groupoids
 
@@ -156,6 +204,29 @@ def test_group_table_rejects_nonassociative_magma():
     }
     with pytest.raises(ValueError):
         group_as_groupoid(table)
+
+
+# in z2 every product of two non-identity elements is the identity
+@pytest.mark.parametrize("name", sorted(set(gen.GROUP_TABLES) - {"z2"}))
+def test_group_table_names_the_least_associativity_witness(name):
+    table = dict(gen.GROUP_TABLES[name])
+    rng = random.Random(name)
+    els = sorted(set(table.values()))
+    identity = next(e for e in els if all(table[(e, a)] == a for a in els))
+    a, b = rng.choice(
+        [(a, b) for a in els for b in els if identity not in (a, b, table[(a, b)])]
+    )
+    table[(a, b)] = rng.choice([c for c in els if c != table[(a, b)]])
+    least = next(
+        (x, y, z)
+        for x in els
+        for y in els
+        for z in els
+        if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]
+    )
+    with pytest.raises(ValueError) as exc:
+        group_as_groupoid(table)
+    assert str(exc.value) == f"table not associative: witness ({', '.join(least)})"
 
 
 # ---------------------------------------------------------------------------
