@@ -6,17 +6,22 @@ uses the range-fiber formula
     (f * h)(x) = sum over y in the range fiber at r(x) of
                      f(y) * h(inv(y) x) * weight of y at r(x)
 
-computed sparsely over support pairs.  The associativity oracle certifies a
-measure family through the algebra it generates, on a code path deliberately
-disjoint from the invariance checker: the two validate each other.
+computed sparsely over support pairs.  Results are exact Fractions, but the
+inner loop multiplies and adds plain ints: the coefficients f(y) * weight
+of y are written over one common denominator per range fiber, h over one
+per source fiber, and each output value is divided out once at the end.
+The associativity oracle certifies a measure family through the algebra it
+generates, on a code path deliberately disjoint from the invariance checker:
+the two validate each other.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from .groupoids import Groupoid, ValidationReport, Violation, _fibers
 from .systems import FiberSystem, HaarSystem, Rational, as_fraction
@@ -99,14 +104,34 @@ def _bind(G: Groupoid, lam: FiberSystem | HaarSystem, context: str) -> FiberSyst
     return lam
 
 
+def _over_fibers(values: Mapping[str, Fraction], key: Callable) -> tuple[dict[str, int], dict]:
+    """Write each value as an integer over one common denominator per fiber of key.
+
+    Returns (nums, dens) with values[p] == nums[p] / dens[key(p)] exactly.
+    """
+    fibers = _fibers(values, key)
+    dens = {b: lcm(*(values[p].denominator for p in ps)) for b, ps in fibers.items()}
+    return {p: v.numerator * (dens[key(p)] // v.denominator) for p, v in values.items()}, dens
+
+
 def convolve(
     f: GroupoidFunction, h: GroupoidFunction, lam: FiberSystem | HaarSystem
 ) -> GroupoidFunction:
     """Convolve two functions against a fiber family over the range map.
 
     The family does not have to be a Haar system; associativity of the
-    resulting product is exactly what left invariance buys.  With h indexed
-    by range: O(|f| + |h| + composable support pairs).
+    resulting product is exactly what left invariance buys.
+
+    The kernel adds plain ints and stays exact.  The coefficients
+    f(y) * weight of y at r(y) are brought to integers over one common
+    denominator per range fiber, and h over one per source fiber.  A product
+    term for x = yz is then an integer over den(r(y)) * den(s(z)); terms are
+    summed per (x, r(y), s(z)), which stays exact even on a table whose
+    products leave their fibers, and each sum becomes one Fraction at the
+    end.  Denominators are per fiber because one denominator for the whole
+    function multiplies together the coprime denominators of unrelated
+    fibers, and the integers grow with it.  With h indexed by range:
+    O(|f| + |h| + composable support pairs).
     """
     if f.groupoid != h.groupoid:
         raise ValueError("groupoid mismatch")
@@ -117,17 +142,29 @@ def convolve(
         for x in points:
             if x not in table:
                 raise ValueError(f"convolve: {name} undefined: x={x}")
-    by_range = _fibers(h.items(), lambda item: G.range_map[item[0]])
-    out: dict[str, Fraction] = {}
+    r, s = G.range_map, G.source_map
+    coeffs = {}
     for y, fy in f.items():
-        wy = sys.weight(G.range_map[y], y)
-        if wy == 0:
-            continue
-        for z, hz in by_range.get(G.source_map[y], ()):
-            x = G.compose_map.get((y, z))
+        wy = sys.weight(r[y], y)
+        if wy != 0:
+            coeffs[y] = fy * wy
+    cnum, cden = _over_fibers(coeffs, r.__getitem__)
+    hnum, hden = _over_fibers(h.values, s.get)
+    by_range = _fibers(((z, n, s.get(z)) for z, n in hnum.items()), lambda t: r[t[0]])
+    compose = G.compose_map.get
+    acc: dict[tuple, int] = {}
+    for y, c in cnum.items():
+        ry = r[y]
+        for z, n, sz in by_range.get(s[y], ()):
+            x = compose((y, z))
             if x is None:
                 raise ValueError(f"convolve: compose missing on composable pair: x={y} y={z}")
-            out[x] = out.get(x, ZERO) + fy * hz * wy
+            key = (x, ry, sz)
+            acc[key] = acc.get(key, 0) + c * n
+    out: dict[str, Fraction] = {}
+    for (x, ry, sz), n in acc.items():
+        term = Fraction(n, cden[ry] * hden[sz])
+        out[x] = out[x] + term if x in out else term
     return GroupoidFunction(G, out)
 
 

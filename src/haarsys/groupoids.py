@@ -539,15 +539,24 @@ def stability_group(G: Groupoid, v: str) -> tuple[Groupoid, tuple[str, ...]]:
         raise ValueError(f"not a unit: {v}")
     carrier = tuple(sorted(x for x in G.elements if G.source_map.get(x) == v))
     members = [x for x in carrier if G.range_map.get(x) == v]
-    compose = {
-        (x, y): G.compose_map[(x, y)] for x in members for y in members
-    }
+    inverse = {}
+    compose = {}
+    for x in members:
+        xi = G.inverse_map.get(x)
+        if xi is None:
+            raise ValueError(f"stability_group: inverse undefined: x={x}")
+        inverse[x] = xi
+        for y in members:
+            xy = G.compose_map.get((x, y))
+            if xy is None:
+                raise ValueError(f"stability_group: compose missing on composable pair: x={x} y={y}")
+            compose[(x, y)] = xy
     group = make_groupoid(
         members,
         {v},
         {x: v for x in members},
         {x: v for x in members},
-        {x: G.inverse_map[x] for x in members},
+        inverse,
         compose,
     )
     return group, carrier

@@ -260,6 +260,26 @@ def random_haar_for(G: Groupoid, rng: random.Random) -> HaarSystem:
     return scaled_counting_haar(G, rng)
 
 
+def random_family(G: Groupoid, rng: random.Random) -> FiberSystem:
+    """A family over G's range map that is mostly neither full nor invariant.
+
+    Fiber weights come from a pool that holds 0; about one unit in ten gets
+    no measure and about one in ten also weighs an arrow from anywhere in G.
+    """
+    pool = [0, 1, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)]
+    els = G.sorted_elements()
+    measures = {}
+    for u in G.sorted_units():
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        weights = {x: rng.choice(pool) for x in els if G.range_map.get(x) == u}
+        if roll > 0.9:
+            weights[rng.choice(els)] = positive(rng)
+        measures[u] = Measure(weights)
+    return fiber_system(G.range_map, measures)
+
+
 # ---------------------------------------------------------------------------
 # actions with full systems and cut-offs
 

@@ -1,14 +1,16 @@
 """Convolution products and the associativity oracle.
 
-The independent check here is plain matrix algebra: over a pair groupoid
+The independent checks here are plain matrix algebra: over a pair groupoid
 with counting weights, convolution must agree entry by entry with the
-product of the corresponding matrices.
+product of the corresponding matrices; and a term-by-term Fraction sum on
+every generator family, broken tables and non-invariant families included.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -21,6 +23,7 @@ from haarsys import (
     counting_haar,
     delta,
     fiber_system,
+    make_groupoid,
     Measure,
     pair_arrow,
     pair_groupoid,
@@ -112,6 +115,75 @@ def test_group_deltas_convolve_by_multiplication():
 def test_convolve_rejects_mismatched_groupoids():
     with pytest.raises(ValueError):
         convolve(delta(z2(), "e"), delta(pair2(), pair_arrow("1", "1")), counting_haar(z2()))
+
+
+def reference_convolve(f, h, lam):
+    """The convolution sum term by term in Fractions, h scanned in full for each y."""
+    G = f.groupoid
+    for x in chain(f.values, h.values):
+        if x not in G.range_map:
+            raise ValueError(f"convolve: range undefined: x={x}")
+    for x in f.values:
+        if x not in G.source_map:
+            raise ValueError(f"convolve: source undefined: x={x}")
+    out = {}
+    for y, fy in f.items():
+        wy = lam.weight(G.range_map[y], y)
+        if wy == 0:
+            continue
+        for z, hz in h.items():
+            if G.range_map[z] != G.source_map[y]:
+                continue
+            if (y, z) not in G.compose_map:
+                raise ValueError(f"convolve: compose missing on composable pair: x={y} y={z}")
+            x = G.compose_map[(y, z)]
+            out[x] = out.get(x, Fraction(0)) + fy * hz * wy
+    return GroupoidFunction(G, out)
+
+
+def outcome(convolve_fn, f, h, lam):
+    try:
+        return convolve_fn(f, h, lam).items()
+    except ValueError as exc:
+        return str(exc)
+
+
+PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+
+
+def random_values(G, rng):
+    """A sparse signed function: empty, small denominators, or a distinct prime per point."""
+    els = G.sorted_elements()
+    support = rng.sample(els, rng.choice([0, 1, len(els) // 3, len(els)]))
+    primes = rng.sample(PRIMES, len(support))
+    if rng.random() < 0.5:
+        return {x: Fraction(rng.choice([-3, -1, 1, 2]), p) for x, p in zip(support, primes)}
+    return {x: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for x in support}
+
+
+def drop_one_product(G, rng):
+    compose = dict(G.compose_map)
+    del compose[rng.choice(sorted(compose))]
+    return make_groupoid(G.elements, G.units, G.range_map, G.source_map, G.inverse_map, compose)
+
+
+@pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+def test_convolve_matches_a_term_by_term_fraction_sum(family):
+    rng = random.Random(f"convolve {family}")
+    errors = 0
+    for _ in range(20):
+        G = gen.FAMILIES[family](rng)
+        _, broken = gen.corrupt_groupoid(G, rng)
+        cases = [(G, gen.scaled_counting_haar(G, rng))]
+        cases += [(table, gen.random_family(table, rng)) for table in (G, broken, drop_one_product(G, rng))]
+        for table, lam in cases:
+            for _ in range(3):
+                f = GroupoidFunction(table, random_values(table, rng))
+                h = GroupoidFunction(table, random_values(table, rng))
+                expected = outcome(reference_convolve, f, h, lam)
+                assert outcome(convolve, f, h, lam) == expected
+                errors += isinstance(expected, str)
+    assert errors > 0
 
 
 def test_convolution_is_bilinear_on_samples():

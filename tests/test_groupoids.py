@@ -179,6 +179,23 @@ def test_blow_up_names_a_missing_entry(table, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("inverse", "stability_group: inverse undefined: x=g"),
+        ("compose", "stability_group: compose missing on composable pair: x=g y=g"),
+    ],
+)
+def test_stability_group_names_a_missing_entry(table, message):
+    G = z2()
+    inverse = {k: v for k, v in G.inverse_map.items() if table != "inverse" or k != "g"}
+    compose = {k: v for k, v in G.compose_map.items() if table != "compose" or k != ("g", "g")}
+    bad = make_groupoid(G.elements, G.units, G.range_map, G.source_map, inverse, compose)
+    with pytest.raises(ValueError) as exc:
+        stability_group(bad, "e")
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # groups as groupoids
 

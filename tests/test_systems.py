@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import generators as gen
 from haarsys import (
     Cutoff,
     Measure,
+    ValidationReport,
+    Violation,
     as_fraction,
     blow_up,
     check_haar,
@@ -166,6 +170,59 @@ def test_make_haar_names_its_context_on_failure():
     with pytest.raises(ValueError) as err:
         make_haar(z2(), z2_skew_system(), "skew candidate")
     assert str(err.value).startswith("skew candidate:")
+
+
+def reference_check_haar(G, system):
+    """check_haar's report from a plain scan that compares the weights as Fractions."""
+    els = G.sorted_elements()
+    fiber = {u: [x for x in els if G.range_map.get(x) == u] for u in set(G.range_map.values())}
+    bad = []
+    for u in G.sorted_units():
+        m = system.measure(u)
+        bad += [
+            Violation("support containment", (f"unit={u}", f"arrow={y}"))
+            for y in m.support
+            if y not in fiber.get(u, [])
+        ]
+        bad += [
+            Violation("fullness", (f"unit={u}", f"arrow={y}"))
+            for y in fiber.get(u, [])
+            if m.weight(y) == Fraction(0)
+        ]
+    for x in els:
+        ends = {"range": G.range_map, "source": G.source_map, "inverse": G.inverse_map}
+        gaps = [name for name, table in ends.items() if x not in table]
+        bad += [Violation(f"{name} undefined", (f"x={x}",)) for name in gaps]
+        if gaps:
+            continue
+        rx, sx, xi = G.range_map[x], G.source_map[x], G.inverse_map[x]
+        for z in fiber.get(rx, []):
+            if (xi, z) not in G.compose_map:
+                bad.append(Violation("compose missing on composable pair", (f"x={xi}", f"y={z}")))
+                continue
+            lhs = system.weight(rx, z)
+            rhs = system.weight(sx, G.compose_map[(xi, z)])
+            if lhs != rhs:
+                bad.append(Violation("left invariance", (f"x={x}", f"z={z}", f"lhs={lhs}", f"rhs={rhs}")))
+    return ValidationReport(tuple(bad), ("continuity: vacuous (finite discrete)",))
+
+
+@pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+def test_check_haar_report_matches_a_fraction_scan(family):
+    rng = random.Random(f"check_haar {family}")
+    witnessed = 0
+    for _ in range(20):
+        G = gen.FAMILIES[family](rng)
+        _, broken = gen.corrupt_groupoid(G, rng)
+        for table in (G, broken):
+            for system in (gen.random_family(table, rng), gen.random_family(table, rng)):
+                report = check_haar(table, system)
+                assert report.render() == reference_check_haar(table, system).render()
+                witnessed += any(v.law == "left invariance" for v in report.violations)
+        lam = gen.scaled_counting_haar(G, rng).system
+        assert check_haar(G, lam).render() == reference_check_haar(G, lam).render()
+    # the random families are mostly not invariant, so the lhs/rhs text is compared
+    assert witnessed > 40
 
 
 # ---------------------------------------------------------------------------
