@@ -16,6 +16,7 @@ from .groupoids import (
     Groupoid,
     ValidationReport,
     Violation,
+    _edge_components,
     _fibers,
     _least_components,
     make_groupoid,
@@ -229,12 +230,7 @@ def validate_action(A: Action) -> ValidationReport:
 
 def _orbit_reps(A: Action) -> dict[str, str]:
     """Least-token representative of each orbit of the carrier."""
-    adj: dict[str, set[str]] = {z: set() for z in A.carrier}
-    for (_, z), w in A.act.items():
-        if z in adj and w in adj:
-            adj[z].add(w)
-            adj[w].add(z)
-    return _least_components(A.sorted_carrier(), adj.__getitem__)
+    return _edge_components(A.sorted_carrier(), ((z, w) for (_, z), w in A.act.items()))
 
 
 def orbit_space(A: Action) -> tuple[tuple[str, ...], dict[str, str]]:
@@ -258,7 +254,12 @@ def right_translation_action(G: Groupoid) -> Action:
 
 def unit_translation_action(G: Groupoid) -> Action:
     """The natural action of G on its unit space: x moves s(x) to r(x)."""
-    table = {(x, G.source_map[x]): G.range_map[x] for x in G.elements}
+    table = {}
+    for x in G.sorted_elements():
+        for name, m in (("source", G.source_map), ("range", G.range_map)):
+            if x not in m:
+                raise ValueError(f"unit_translation_action: {name} undefined: x={x}")
+        table[(x, G.source_map[x])] = G.range_map[x]
     moment = {u: u for u in G.units}
     return left_action(G, G.units, moment, table)
 
@@ -323,12 +324,14 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
 
+    # H is not validated here: a side left undefined by a bad inverse does not commute
     hr = E.right.groupoid.range_fibers()
+    hinv, left, right = E.right.groupoid.inverse_map.get, E.left.act.get, E.right.act.get
     for (g, z), gz in sorted(E.left.act.items()):
         for h in hr.get(sigma[z], ()):
-            lhs = E.right.apply_right(gz, h)
-            rhs = E.left.apply(g, E.right.apply_right(z, h))
-            if lhs != rhs:
+            lhs = right((hinv(h), gz))
+            rhs = left((g, right((hinv(h), z))))
+            if lhs is None or lhs != rhs:
                 bad.append(Violation("commuting", (f"g={g}", f"z={z}", f"h={h}")))
 
     # each moment map reaches every unit, and each of its fibers is one orbit of the other action

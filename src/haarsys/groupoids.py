@@ -97,9 +97,6 @@ class Groupoid:
     def inv(self, x: str) -> str:
         return self.inverse_map[x]
 
-    def is_composable(self, x: str, y: str) -> bool:
-        return self.source_map[x] == self.range_map[y]
-
     def mul(self, x: str, y: str) -> str:
         try:
             return self.compose_map[(x, y)]
@@ -278,13 +275,8 @@ def unit_orbit_map(G: Groupoid) -> dict[str, str]:
     Two units are in the same orbit when some arrow has one as range and
     the other as source.  Representatives are canonical: least token.
     """
-    adj: dict[str, set[str]] = {u: set() for u in G.units}
-    for x in G.sorted_elements():
-        u, v = G.range_map.get(x), G.source_map.get(x)
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
-    return _least_components(sorted(G.units), adj.__getitem__)
+    edges = ((G.range_map.get(x), G.source_map.get(x)) for x in G.elements)
+    return _edge_components(G.sorted_units(), edges)
 
 
 def _fibers(points: Iterable, key: Callable) -> dict:
@@ -354,6 +346,16 @@ def _least_components(nodes: Iterable, neighbours: Callable[..., Iterable]) -> d
     return rep
 
 
+def _edge_components(nodes: list, edges: Iterable[tuple]) -> dict:
+    """Map each node to the least node of its component; edges leaving nodes are ignored."""
+    adj: dict = {n: set() for n in nodes}
+    for a, b in edges:
+        if a in adj and b in adj:
+            adj[a].add(b)
+            adj[b].add(a)
+    return _least_components(nodes, adj.__getitem__)
+
+
 def is_transitive(G: Groupoid) -> bool:
     return len(set(unit_orbit_map(G).values())) <= 1
 
@@ -367,24 +369,27 @@ def pair_arrow(u: str, v: str) -> str:
 
 
 def pair_groupoid(points: Iterable[str]) -> Groupoid:
-    """Groupoid of all ordered pairs of points: (u,v)(v,w) = (u,w)."""
+    """Groupoid of all ordered pairs of points: (u,v)(v,w) = (u,w).
+
+    The pullback of the one-point groupoid along the constant map, with the
+    triple (u, *, v) named pair:u,v.  O(n^3) for n points: one dict entry per
+    product, and each token is formatted once.
+    """
     pts = sorted({str(p) for p in points})
     if not pts:
         raise ValueError("pair groupoid needs at least one point")
-    elements = [pair_arrow(u, v) for u in pts for v in pts]
-    if len(set(elements)) != len(pts) ** 2:
-        raise ValueError("point tokens collide under pair naming")
-    units = {pair_arrow(u, u) for u in pts}
-    range_map = {pair_arrow(u, v): pair_arrow(u, u) for u in pts for v in pts}
-    source_map = {pair_arrow(u, v): pair_arrow(v, v) for u in pts for v in pts}
-    inverse_map = {pair_arrow(u, v): pair_arrow(v, u) for u in pts for v in pts}
-    compose = {
-        (pair_arrow(u, v), pair_arrow(v, w)): pair_arrow(u, w)
-        for u in pts
-        for v in pts
-        for w in pts
-    }
-    return make_groupoid(elements, units, range_map, source_map, inverse_map, compose)
+    return _pullback(
+        _units_only(["*"]),
+        dict.fromkeys(pts, "*"),
+        lambda u, _, v: pair_arrow(u, v),
+        "point tokens collide under pair naming",
+    )[0]
+
+
+def _units_only(units: Iterable[str]) -> Groupoid:
+    """The groupoid whose arrows are exactly the given units."""
+    ids = {u: u for u in units}
+    return make_groupoid(ids, ids, ids, ids, ids, {(u, u): u for u in ids})
 
 
 def group_as_groupoid(table: Mapping[tuple[str, str], str]) -> Groupoid:
@@ -467,11 +472,13 @@ def transformation_groupoid(
     units = {transformation_arrow(e, x) for x in pts}
     range_map = {transformation_arrow(g, x): transformation_arrow(e, act[(g, x)]) for g in gels for x in pts}
     source_map = {transformation_arrow(g, x): transformation_arrow(e, x) for g in gels for x in pts}
-    inverse_map = {
-        transformation_arrow(g, x): transformation_arrow(group.inv(g), act[(g, x)])
-        for g in gels
-        for x in pts
-    }
+    inverse_map = {}
+    for g in gels:
+        gi = group.inverse_map.get(g)
+        if gi is None:
+            raise ValueError(f"transformation_groupoid: inverse undefined: x={g}")
+        for x in pts:
+            inverse_map[transformation_arrow(g, x)] = transformation_arrow(gi, act[(g, x)])
     compose = {}
     for g in gels:
         for x in pts:
@@ -492,6 +499,8 @@ def relation_groupoid(q: Mapping[str, str], codomain: Iterable[str] | None = Non
 
     Arrows are pairs (u, v) with q(u) == q(v), composing like pair arrows
     within each fiber.  When a codomain is given, q must reach all of it.
+    This is the pullback of the units-only groupoid on q's image along q,
+    with the triple (u, q(u), v) named rel:u,v: O(sum of fiber sizes cubed).
     """
     qm = {str(u): str(t) for u, t in q.items()}
     if not qm:
@@ -505,28 +514,12 @@ def relation_groupoid(q: Mapping[str, str], codomain: Iterable[str] | None = Non
         unreached = sorted(targets - image)
         if unreached:
             raise ValueError(f"quotient map not surjective; unreached targets: {', '.join(unreached)}")
-    fibers = _fibers(sorted(qm), qm.get)
-
-    elements = []
-    units = set()
-    range_map = {}
-    source_map = {}
-    inverse_map = {}
-    compose = {}
-    for fiber in fibers.values():
-        for u in fiber:
-            units.add(relation_arrow(u, u))
-            for v in fiber:
-                a = relation_arrow(u, v)
-                elements.append(a)
-                range_map[a] = relation_arrow(u, u)
-                source_map[a] = relation_arrow(v, v)
-                inverse_map[a] = relation_arrow(v, u)
-                for w in fiber:
-                    compose[(a, relation_arrow(v, w))] = relation_arrow(u, w)
-    if len(set(elements)) != sum(len(f) ** 2 for f in fibers.values()):
-        raise ValueError("point tokens collide under relation naming")
-    return make_groupoid(elements, units, range_map, source_map, inverse_map, compose)
+    return _pullback(
+        _units_only(image),
+        qm,
+        lambda u, _, v: relation_arrow(u, v),
+        "point tokens collide under relation naming",
+    )[0]
 
 
 def stability_group(G: Groupoid, v: str) -> tuple[Groupoid, tuple[str, ...]]:
@@ -551,15 +544,8 @@ def stability_group(G: Groupoid, v: str) -> tuple[Groupoid, tuple[str, ...]]:
             if xy is None:
                 raise ValueError(f"stability_group: compose missing on composable pair: x={x} y={y}")
             compose[(x, y)] = xy
-    group = make_groupoid(
-        members,
-        {v},
-        {x: v for x in members},
-        {x: v for x in members},
-        inverse,
-        compose,
-    )
-    return group, carrier
+    const = {x: v for x in members}
+    return make_groupoid(members, {v}, const, dict(const), inverse, compose), carrier
 
 
 def blowup_arrow(z: str, g: str, w: str) -> str:
@@ -570,9 +556,14 @@ def blow_up(G: Groupoid, f: Mapping[str, str]) -> Groupoid:
     """Pull G back along a surjection f from a new unit space onto G's units.
 
     Arrows are triples (z, g, w) with f(z) = r(g) and s(g) = f(w), composing
-    by (z, g, w)(w, g', v) = (z, gg', v).  Built by walking fibers:
-    O(|G| + |Z| + composable pairs of triples).
+    by (z, g, w)(w, g', v) = (z, gg', v), named blowup:z|g|w.  Built by
+    _pullback, walking fibers: O(|G| + |Z| + composable pairs of triples).
     """
+    return _blow_up(G, f)[0]
+
+
+def _blow_up(G: Groupoid, f: Mapping[str, str]) -> tuple[Groupoid, dict[tuple[str, str, str], str]]:
+    """blow_up, plus the token of every triple."""
     fm = {str(z): str(u) for z, u in f.items()}
     if not fm:
         raise ValueError("blow-up map must have nonempty domain")
@@ -582,38 +573,48 @@ def blow_up(G: Groupoid, f: Mapping[str, str]) -> Groupoid:
     missing = sorted(G.units - set(fm.values()))
     if missing:
         raise ValueError(f"blow-up map not surjective; missed units: {', '.join(missing)}")
+    return _pullback(G, fm, blowup_arrow, "tokens collide under blow-up naming")
 
-    zs = sorted(fm)
+
+def _pullback(
+    G: Groupoid, f: Mapping[str, str], name: Callable[[str, str, str], str], collision: str
+) -> tuple[Groupoid, dict[tuple[str, str, str], str]]:
+    """The triples (z, g, w) with f(z) = r(g) and s(g) = f(w) as a groupoid, and their tokens.
+
+    f maps a new unit space into G's units; (z, g, w)(w, g', v) = (z, gg', v).
+    name(z, g, w) formats each triple's token once; tokens must not collide
+    (else ValueError(collision)).  G is not validated: an inverse or product
+    that is not a triple is still named, and a missing entry raises blow_up's
+    one-line ValueError (every inverse is checked before any product).
+    """
+    zs = sorted(f)
     rfib = _fibers(G.sorted_elements(), G.range_map.get)
-    over = _fibers(zs, fm.get)
-    triples = [
-        (z, g, w)
+    over = _fibers(zs, f.get)
+    tok = {
+        (z, g, w): name(z, g, w)
         for z in zs
-        for g in rfib.get(fm[z], ())
+        for g in rfib.get(f[z], ())
         for w in over.get(G.source_map.get(g), ())
-    ]
-    elements = [blowup_arrow(*t) for t in triples]
-    if len(set(elements)) != len(triples):
-        raise ValueError("tokens collide under blow-up naming")
-    units = {blowup_arrow(z, fm[z], z) for z in zs}
-    range_map = {}
-    source_map = {}
+    }
+    if len(set(tok.values())) != len(tok):
+        raise ValueError(collision)
+    known = tok.get
+    unit = {z: known((z, f[z], z)) or name(z, f[z], z) for z in zs}
     inverse_map = {}
-    compose = {}
-    for z, g, w in triples:
-        a = blowup_arrow(z, g, w)
-        range_map[a] = blowup_arrow(z, fm[z], z)
-        source_map[a] = blowup_arrow(w, fm[w], w)
+    for (z, g, w), a in tok.items():
         gi = G.inverse_map.get(g)
         if gi is None:
             raise ValueError(f"blow_up: inverse undefined: x={g}")
-        inverse_map[a] = blowup_arrow(w, gi, z)
-    starting = _fibers(triples, lambda t: t[0])
-    for z, g, w in triples:
-        a = blowup_arrow(z, g, w)
-        for _, g2, v in starting.get(w, ()):
-            gg2 = G.compose_map.get((g, g2))
+        inverse_map[a] = known((w, gi, z)) or name(w, gi, z)
+    starting = _fibers(tok.items(), lambda item: item[0][0])
+    product = G.compose_map.get
+    compose = {}
+    for (z, g, w), a in tok.items():
+        for (_, g2, v), b in starting.get(w, ()):
+            gg2 = product((g, g2))
             if gg2 is None:
                 raise ValueError(f"blow_up: compose missing on composable pair: x={g} y={g2}")
-            compose[(a, blowup_arrow(w, g2, v))] = blowup_arrow(z, gg2, v)
-    return make_groupoid(elements, units, range_map, source_map, inverse_map, compose)
+            compose[(a, b)] = known((z, gg2, v)) or name(z, gg2, v)
+    range_map = {a: unit[t[0]] for t, a in tok.items()}
+    source_map = {a: unit[t[2]] for t, a in tok.items()}
+    return make_groupoid(tok.values(), unit.values(), range_map, source_map, inverse_map, compose), tok

@@ -34,9 +34,8 @@ from .groupoids import (
     ValidationReport,
     Violation,
     _fibers,
+    _blow_up,
     _isotropy_arrow,
-    blow_up,
-    blowup_arrow,
     stability_group,
     unit_orbit_map,
     validate_groupoid,
@@ -282,7 +281,9 @@ def blowup_haar(
     """Haar system on the blow-up of G along f, from lam and a full system over f.
 
     The weight of a triple (z, g, w) in the range fiber at z is the
-    lam-weight of g times the beta-weight of w over s(g).
+    lam-weight of g times the beta-weight of w over s(g).  The blow-up is a
+    pullback of G, and the weights are read off its triple index:
+    O(blow_up + triples) after the checks on G, lam and beta.
     """
     validate_groupoid(G).require("invalid groupoid")
     check_haar(G, lam).require("not a Haar system")
@@ -291,18 +292,12 @@ def blowup_haar(
         raise ValueError("base map mismatch: expected the blow-up map")
     check_system(beta).require("not a full system")
 
-    big = blow_up(G, fm)
-    zs = sorted(fm)
-    rfib = G.range_fibers()
-    over = _fibers(zs, fm.get)
-    measures: dict[str, Measure] = {}
-    for z in zs:
-        weights: dict[str, Fraction] = {}
-        for g in rfib[fm[z]]:
-            sg = G.source_map[g]
-            for w in over.get(sg, ()):
-                weights[blowup_arrow(z, g, w)] = lam.weight(fm[z], g) * beta.weight(sg, w)
-        measures[blowup_arrow(z, fm[z], z)] = Measure(weights)
+    big, triples = _blow_up(G, fm)
+    rows = _fibers(triples.items(), lambda item: big.range_map[item[1]])
+    measures = {
+        u: Measure({a: lam.weight(fm[z], g) * beta.weight(fm[w], w) for (z, g, w), a in row})
+        for u, row in rows.items()
+    }
     return make_haar(big, fiber_system(big.range_map, measures), "blow-up system")
 
 

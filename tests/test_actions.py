@@ -25,6 +25,7 @@ from haarsys import (
     relation_groupoid,
     right_action,
     right_translation_action,
+    unit_translation_action,
     validate_action,
     validate_equivalence,
 )
@@ -178,12 +179,35 @@ def test_missing_right_transitivity_is_flagged():
     assert not report.passed
 
 
+@pytest.mark.parametrize("inverse", ["pair:a,b", None], ids=["wrong", "missing"])
+def test_broken_right_groupoid_is_reported_not_raised(inverse):
+    # both actions pass their own laws; the commuting walk then reads the
+    # inverse of pair:a,b in H, set to itself or dropped
+    E = rect32()
+    H = E.right.groupoid
+    inv = {k: v for k, v in H.inverse_map.items() if k != "pair:a,b"}
+    if inverse is not None:
+        inv["pair:a,b"] = inverse
+    right = replace(E.right, groupoid=replace(H, inverse_map=inv))
+    report = validate_equivalence(Equivalence(E.left, right))
+    expected = [f"violation commuting: g=pair:{i},{j} z={j}|a h=pair:a,b" for i in "123" for j in "123"]
+    assert [v.render() for v in report.violations] == expected
+
+
 def test_opposite_equivalence_swaps_sides_and_involutes():
     E = rect32()
     F = opposite_equivalence(E)
     assert F.left.groupoid == E.right.groupoid
     assert F.right.groupoid == E.left.groupoid
     assert opposite_equivalence(F) == E
+
+
+@pytest.mark.parametrize("table", ["source", "range"])
+def test_unit_translation_action_names_a_missing_entry(table):
+    broken = replace(z2(), **{f"{table}_map": {"e": "e"}})
+    with pytest.raises(ValueError) as exc:
+        unit_translation_action(broken)
+    assert str(exc.value) == f"unit_translation_action: {table} undefined: x=g"
 
 
 def test_equivalence_shape_errors():

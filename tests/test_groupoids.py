@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +162,101 @@ def test_associativity_violations_match_an_exhaustive_scan(family):
     assert corrupted > 0 or family in ("pair", "relation")
 
 
+def pullback_tables(G, f, name):
+    """The triple rule, enumerated: arrows (z, g, w) with f(z) = r(g) and s(g) = f(w).
+
+    (z, g, w)(w, g2, v) = (z, g g2, v), and (z, g, w) inverts to (w, inv g, z),
+    named whether or not the base makes these triples arrows.
+    """
+    triples = [
+        (z, g, w)
+        for z in f
+        for g in G.elements
+        for w in f
+        if G.range_map.get(g) == f[z] and G.source_map.get(g) == f[w]
+    ]
+    return make_groupoid(
+        [name(*t) for t in triples],
+        [name(z, f[z], z) for z in f],
+        {name(*t): name(t[0], f[t[0]], t[0]) for t in triples},
+        {name(*t): name(t[2], f[t[2]], t[2]) for t in triples},
+        {name(z, g, w): name(w, G.inverse_map[g], z) for z, g, w in triples},
+        {
+            (name(z, g, w), name(w2, g2, v)): name(z, G.compose_map[(g, g2)], v)
+            for z, g, w in triples
+            for w2, g2, v in triples
+            if w2 == w
+        },
+    )
+
+
+def units_only(units):
+    ids = {u: u for u in units}
+    return make_groupoid(ids, ids, ids, ids, ids, {(u, u): u for u in ids})
+
+
+def pair_name(u, _, v):
+    return pair_arrow(u, v)
+
+
+def relation_name(u, _, v):
+    return relation_arrow(u, v)
+
+
+def with_entry(G, table, key, value):
+    """G with one inverse or compose entry set to value: not a groupoid any more."""
+    inverse, compose = dict(G.inverse_map), dict(G.compose_map)
+    {"inverse": inverse, "compose": compose}[table][key] = value
+    return make_groupoid(G.elements, G.units, G.range_map, G.source_map, inverse, compose)
+
+
+U1, U2 = pair_arrow("1", "1"), pair_arrow("2", "2")
+BLOWUP_PQR = {"p": U1, "q": U1, "r": U2}
+RELATION_Q = {"1": "A", "2": "A", "3": "B"}
+Z2_CONST = {"z1": "e", "z2": "e"}
+# the inverse (r, pair:1,2, p) and the product (p, pair:2,2, p) are not triples
+WRONG_INVERSE = with_entry(pair2(), "inverse", pair_arrow("1", "2"), pair_arrow("1", "2"))
+WRONG_PRODUCT = with_entry(pair2(), "compose", (pair_arrow("1", "2"), pair_arrow("2", "1")), U2)
+# "a,b" and "c" name the same pair as "a" and "b,c"
+CLASH = ["a", "a,b", "b,c", "c"]
+
+# name -> (constructor call, (base, map, namer) of the reference tables or the error text)
+PULLBACKS = {
+    "pair": (lambda: pair_groupoid("123"), (units_only(["*"]), dict.fromkeys("123", "*"), pair_name)),
+    "pair-collide": (lambda: pair_groupoid(CLASH), "point tokens collide under pair naming"),
+    "relation": (lambda: relation_groupoid(RELATION_Q), (units_only("AB"), RELATION_Q, relation_name)),
+    "relation-collide": (
+        lambda: relation_groupoid(dict.fromkeys(CLASH, "x")),
+        "point tokens collide under relation naming",
+    ),
+    "blow-up-group": (lambda: blow_up(z2(), Z2_CONST), (z2(), Z2_CONST, blowup_arrow)),
+    "blow-up-pair": (lambda: blow_up(pair2(), BLOWUP_PQR), (pair2(), BLOWUP_PQR, blowup_arrow)),
+    "blow-up-collide": (  # (p|e, e, q) and (p, e, e|q) are both blowup:p|e|e|q
+        lambda: blow_up(z2(), dict.fromkeys(["p", "p|e", "q", "e|q"], "e")),
+        "tokens collide under blow-up naming",
+    ),
+    "blow-up-wrong-inverse": (
+        lambda: blow_up(WRONG_INVERSE, BLOWUP_PQR),
+        (WRONG_INVERSE, BLOWUP_PQR, blowup_arrow),
+    ),
+    "blow-up-wrong-product": (
+        lambda: blow_up(WRONG_PRODUCT, BLOWUP_PQR),
+        (WRONG_PRODUCT, BLOWUP_PQR, blowup_arrow),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PULLBACKS))
+def test_pullback_constructors_follow_the_triple_rule(case):
+    build, expected = PULLBACKS[case]
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == expected
+    else:
+        assert build() == pullback_tables(*expected)
+
+
 @pytest.mark.parametrize(
     "table, message",
     [
@@ -286,6 +382,13 @@ def test_transformation_rejects_incompatible_action():
     act = {("e", "p"): "p", ("g", "p"): "q", ("e", "q"): "q", ("g", "q"): "q"}
     with pytest.raises(ValueError):
         transformation_groupoid(z2(), act, ["p", "q"])
+
+
+def test_transformation_names_a_missing_inverse():
+    group = replace(z2(), inverse_map={"e": "e"})
+    with pytest.raises(ValueError) as exc:
+        transformation_groupoid(group, swap_act(), ["z1", "z2"])
+    assert str(exc.value) == "transformation_groupoid: inverse undefined: x=g"
 
 
 # ---------------------------------------------------------------------------
