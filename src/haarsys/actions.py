@@ -92,36 +92,22 @@ def _action_domain(G: Groupoid, carrier, moment: Mapping[str, str]) -> set[tuple
     return {(g, z) for z in carrier for g in sfib.get(moment.get(z), ())}
 
 
-def _check_domain(groupoid: Groupoid, carrier: set[str], moment: dict[str, str], act) -> None:
-    if set(moment) != carrier:
-        extra = sorted(set(moment) ^ carrier)
-        raise ValueError(f"moment map must be defined on exactly the carrier: {', '.join(extra)}")
-    for z, u in sorted(moment.items()):
-        if u not in groupoid.units:
-            raise ValueError(f"moment value must be a unit: {z} -> {u}")
-    expected = _action_domain(groupoid, carrier, moment)
-    got = set(act)
-    for key in sorted(got - expected):
-        raise ValueError(f"action defined off its domain: {key}")
-    for key in sorted(expected - got):
-        raise ValueError(f"action missing on its domain: {key}")
-    for key, value in sorted(act.items()):
-        if value not in carrier:
-            raise ValueError(f"action leaves the carrier: {key} -> {value}")
-
-
 def left_action(
     groupoid: Groupoid,
     carrier,
     moment: Mapping[str, str],
     table: Mapping[tuple[str, str], str],
 ) -> Action:
-    """Build a left action from a table (g, z) -> g.z."""
-    car = {str(z) for z in carrier}
-    mom = {str(z): str(u) for z, u in moment.items()}
+    """Build a left action from a table (g, z) -> g.z.
+
+    One walk over the action table checks its moment, domain and carrier
+    laws, the walk validate_action starts with, and raises the first
+    violation it reports: O(|Z| + |G| + |act| log |act|).
+    """
     act = {(str(g), str(z)): str(w) for (g, z), w in table.items()}
-    _check_domain(groupoid, car, mom, act)
-    return _canon_action(groupoid, car, mom, act, "left")
+    A = _canon_action(groupoid, carrier, moment, act, "left")
+    _table_laws(A).require("invalid action")
+    return A
 
 
 def right_action(
@@ -133,10 +119,10 @@ def right_action(
     """Build a right action from a table (z, g) -> z.g.
 
     The table is stored internally as the left translate g.z := z.inv(g);
-    the side tag keeps the right-handed meaning.
+    the side tag keeps the right-handed meaning.  An acting element with no
+    inverse is refused first; then the stored table gets left_action's walk:
+    O(|Z| + |G| + |act| log |act|).
     """
-    car = {str(z) for z in carrier}
-    mom = {str(z): str(u) for z, u in moment.items()}
     inv = groupoid.inverse_map
     act = {}
     for (z, g), w in table.items():
@@ -144,8 +130,9 @@ def right_action(
         if g not in inv:
             raise ValueError(f"unknown acting element: {g}")
         act[(inv[g], z)] = w
-    _check_domain(groupoid, car, mom, act)
-    return _canon_action(groupoid, car, mom, act, "right")
+    A = _canon_action(groupoid, carrier, moment, act, "right")
+    _table_laws(A).require("invalid action")
+    return A
 
 
 def opposite(A: Action) -> Action:
@@ -168,16 +155,16 @@ def _unfree_pair(A: Action) -> tuple[str, str] | None:
     return min(((g, z) for (g, z), w in A.act.items() if w == z and g != A.moment.get(z)), default=None)
 
 
-def validate_action(A: Action) -> ValidationReport:
-    """Check the action laws; freeness is reported in the notes, not enforced.
+def _table_laws(A: Action) -> ValidationReport:
+    """The moment, domain and carrier laws of an action table, in report order.
 
-    Domain and compatibility walk fibers, not G x G x Z:
-    O(|Z| + |G| + |act| + composable pairs x moment-fiber size).
+    Every carrier point has a unit as its moment and nothing else does; the
+    table is defined on exactly the pairs with source(g) == moment(z); every
+    value lies in the carrier.  O(|Z| + |G| + |act| log |act|).
     """
     bad: list[Violation] = []
     G = A.groupoid
     car = A.carrier
-
     for z in A.sorted_carrier():
         if z not in A.moment:
             bad.append(Violation("moment undefined", (f"z={z}",)))
@@ -187,7 +174,6 @@ def validate_action(A: Action) -> ValidationReport:
         if z not in car:
             bad.append(Violation("moment key off carrier", (f"z={z}",)))
 
-    mom = A.moment.get
     expected = _action_domain(G, car, A.moment)
     for key in sorted(set(A.act) - expected):
         bad.append(Violation("domain", (f"g={key[0]}", f"z={key[1]}", "off the composable pairs")))
@@ -196,7 +182,21 @@ def validate_action(A: Action) -> ValidationReport:
     for key, value in sorted(A.act.items()):
         if value not in car:
             bad.append(Violation("carrier", (f"g={key[0]}", f"z={key[1]}", f"value={value}")))
+    return ValidationReport(tuple(bad))
 
+
+def validate_action(A: Action) -> ValidationReport:
+    """Check the action laws; freeness is reported in the notes, not enforced.
+
+    First comes the walk over the action table that the constructors raise
+    on (moment, domain, carrier); the moment of each translate is a second
+    walk over the table, and compatibility walks fibers, not G x G x Z:
+    O(|Z| + |G| + |act| log |act| + composable pairs x moment-fiber size).
+    """
+    bad = list(_table_laws(A).violations)
+    G = A.groupoid
+    car = A.carrier
+    mom = A.moment.get
     act = A.act.get
     for z in A.sorted_carrier():
         u = mom(z)
@@ -360,9 +360,7 @@ def _pair_token(x: str, y: str) -> str:
     return f"imp:{x}|{y}"
 
 
-def imprimitivity_groupoid(
-    A: Action, orientation: str | None = None
-) -> tuple[Groupoid, dict[tuple[str, str], str]]:
+def imprimitivity_groupoid(A: Action) -> tuple[Groupoid, dict[tuple[str, str], str]]:
     """Quotient of the equal-moment pair space by the diagonal action.
 
     Elements are orbits of pairs (x, y) with moment(x) == moment(y); the
@@ -375,8 +373,6 @@ def imprimitivity_groupoid(
     Orbits and products walk source and range fibers: O(|G| + (pairs +
     composable pairs of classes) x source-fiber size).
     """
-    if orientation is not None and orientation != A.side:
-        raise ValueError(f"orientation {orientation!r} does not match the action's side {A.side!r}")
     validate_groupoid(A.groupoid).require("invalid groupoid")
     validate_action(A).require("invalid action")
     if not is_free(A):

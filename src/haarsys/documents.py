@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .actions import Action, Equivalence
+from .actions import Action, Equivalence, _canon_action
 from .convolution import GroupoidFunction
 from .groupoids import (
     Groupoid,
@@ -146,12 +146,17 @@ def _fail(where: str, problem: str) -> SchemaError:
     return SchemaError(f"field {where!r}: {problem}")
 
 
+def _at(where: str, key: str) -> str:
+    """The path of field key inside the object at where ("" for the top level)."""
+    return f"{where}.{key}" if where else key
+
+
 def _need(data: dict, key: str, kind: type, where: str):
     if key not in data:
-        raise _fail(f"{where}.{key}" if where else key, "missing")
+        raise _fail(_at(where, key), "missing")
     value = data[key]
     if not isinstance(value, kind):
-        raise _fail(f"{where}.{key}" if where else key, f"expected {kind.__name__}")
+        raise _fail(_at(where, key), f"expected {kind.__name__}")
     return value
 
 
@@ -159,7 +164,7 @@ def _str_list(data: dict, key: str, where: str) -> list[str]:
     value = _need(data, key, list, where)
     for item in value:
         if not isinstance(item, str):
-            raise _fail(f"{where}.{key}" if where else key, f"non-string token: {item!r}")
+            raise _fail(_at(where, key), f"non-string token: {item!r}")
     return value
 
 
@@ -167,7 +172,7 @@ def _str_map(data: dict, key: str, where: str) -> dict[str, str]:
     value = _need(data, key, dict, where)
     for k, v in value.items():
         if not isinstance(v, str):
-            raise _fail(f"{where}.{key}" if where else key, f"non-string value for {k!r}: {v!r}")
+            raise _fail(_at(where, key), f"non-string value for {k!r}: {v!r}")
     return value
 
 
@@ -186,7 +191,7 @@ def _rational(value: object, where: str) -> Fraction:
 def _check_keys(data: dict, allowed: set[str], where: str) -> None:
     extra = sorted(set(data) - allowed)
     if extra:
-        raise _fail(extra[0] if not where else f"{where}.{extra[0]}", "unexpected field")
+        raise _fail(_at(where, extra[0]), "unexpected field")
 
 
 def _decode_groupoid(data: dict, where: str = "") -> Groupoid:
@@ -205,14 +210,14 @@ def _decode_groupoid(data: dict, where: str = "") -> Groupoid:
             raise _fail(ctx, f"references unknown element: {t!r}")
         return t
 
-    units = [token(u, f"{where}.units" if where else "units") for u in _str_list(data, "units", where)]
+    units = [token(u, _at(where, "units")) for u in _str_list(data, "units", where)]
     maps: dict[str, dict[str, str]] = {}
     for name in ("range", "source", "inverse"):
-        ctx = f"{where}.{name}" if where else name
+        ctx = _at(where, name)
         raw = _str_map(data, name, where)
         maps[name] = {token(k, ctx): token(v, ctx) for k, v in raw.items()}
     compose_rows = _need(data, "compose", list, where)
-    ctx = f"{where}.compose" if where else "compose"
+    ctx = _at(where, "compose")
     compose: dict[tuple[str, str], str] = {}
     for row in compose_rows:
         if not isinstance(row, list) or len(row) != 3:
@@ -230,7 +235,7 @@ def _decode_system(data: dict, where: str = "") -> FiberSystem:
     raw = _need(data, "measures", dict, where)
     measures: dict[str, Measure] = {}
     for u, entries in raw.items():
-        ctx = f"{where}.measures.{u}" if where else f"measures.{u}"
+        ctx = _at(where, f"measures.{u}")
         if not isinstance(entries, dict):
             raise _fail(ctx, "expected an object of weights")
         try:
@@ -248,12 +253,12 @@ def _decode_action(data: dict, where: str = "") -> Action:
     )
     side = _need(data, "side", str, where)
     if side not in ("left", "right"):
-        raise _fail(f"{where}.side" if where else "side", f"expected left or right, got {side!r}")
+        raise _fail(_at(where, "side"), f"expected left or right, got {side!r}")
     gdata = _need(data, "groupoid", dict, where)
-    G = _decode_groupoid(gdata, f"{where}.groupoid" if where else "groupoid")
+    G = _decode_groupoid(gdata, _at(where, "groupoid"))
     carrier = _str_list(data, "carrier", where)
     points = set(carrier)
-    moment_ctx = f"{where}.moment" if where else "moment"
+    moment_ctx = _at(where, "moment")
     moment = {}
     for z, u in _str_map(data, "moment", where).items():
         if z not in points:
@@ -262,7 +267,7 @@ def _decode_action(data: dict, where: str = "") -> Action:
             raise _fail(moment_ctx, f"references unknown element: {u!r}")
         moment[z] = u
     rows = _need(data, "table", list, where)
-    ctx = f"{where}.table" if where else "table"
+    ctx = _at(where, "table")
     act: dict[tuple[str, str], str] = {}
     for row in rows:
         if not isinstance(row, list) or len(row) != 3:
@@ -285,23 +290,13 @@ def _decode_action(data: dict, where: str = "") -> Action:
         if (g, z) in act:
             raise _fail(ctx, f"duplicate pair: [{row[0]!r}, {row[1]!r}]")
         act[(g, z)] = w
-    return Action(
-        groupoid=G,
-        carrier=frozenset(carrier),
-        moment=dict(sorted(moment.items())),
-        act=dict(sorted(act.items())),
-        side=side,
-    )
+    return _canon_action(G, carrier, moment, act, side)
 
 
 def _decode_equivalence(data: dict, where: str = "") -> Equivalence:
     _check_keys(data, {"version", "kind", "meta", "left", "right"}, where)
-    left = _decode_action(
-        _need(data, "left", dict, where), f"{where}.left" if where else "left"
-    )
-    right = _decode_action(
-        _need(data, "right", dict, where), f"{where}.right" if where else "right"
-    )
+    left = _decode_action(_need(data, "left", dict, where), _at(where, "left"))
+    right = _decode_action(_need(data, "right", dict, where), _at(where, "right"))
     try:
         return Equivalence(left, right)
     except ValueError as exc:
@@ -311,7 +306,7 @@ def _decode_equivalence(data: dict, where: str = "") -> Equivalence:
 def _decode_cutoff(data: dict, where: str = "") -> Cutoff:
     _check_keys(data, {"version", "kind", "meta", "weights", "quotient"}, where)
     raw = _need(data, "weights", dict, where)
-    ctx = f"{where}.weights" if where else "weights"
+    ctx = _at(where, "weights")
     try:
         weights = Measure({z: _rational(v, f"{ctx}.{z}") for z, v in raw.items()})
         return Cutoff(weights, _str_map(data, "quotient", where))
@@ -324,7 +319,7 @@ def _decode_cutoff(data: dict, where: str = "") -> Cutoff:
 def _decode_function(data: dict, where: str = "") -> dict[str, Fraction]:
     _check_keys(data, {"version", "kind", "meta", "values"}, where)
     raw = _need(data, "values", dict, where)
-    ctx = f"{where}.values" if where else "values"
+    ctx = _at(where, "values")
     return {str(x): _rational(v, f"{ctx}.{x}") for x, v in sorted(raw.items())}
 
 

@@ -327,7 +327,8 @@ def _least_components(nodes: Iterable, neighbours: Callable[..., Iterable]) -> d
 
     neighbours(n) yields the nodes one step from n.  Whatever n reaches must
     also reach n (an undirected graph, or the moves of a groupoid action), so
-    each search finds a whole component.
+    each search finds a whole component.  The map's keys come in sorted
+    order, so it does not depend on the hash seed.
     """
     rep: dict = {}
     for start in nodes:
@@ -343,7 +344,7 @@ def _least_components(nodes: Iterable, neighbours: Callable[..., Iterable]) -> d
         least = min(seen)
         for node in seen:
             rep[node] = least
-    return rep
+    return dict(sorted(rep.items()))
 
 
 def _edge_components(nodes: list, edges: Iterable[tuple]) -> dict:

@@ -87,25 +87,31 @@ class PipelineError(ValueError):
 def check_equivariant(A: Action, system: FiberSystem) -> ValidationReport:
     """Check that translating a fiber measure matches the measure at the translated base.
 
-    Pointwise over every acting element g and every carrier point z in the
-    moment fiber of s(g): the weight of g.z at r(g) must equal the weight of
-    z at s(g).
+    Walks the action table in sorted (g, z) order, so it checks the pairs the
+    table defines; that these are exactly the pairs with s(g) == moment(z) is
+    validate_action's job.  For each entry the weight of g.z at r(g) must
+    equal the weight of z at s(g).  An arrow with no range or no source is
+    reported once, with check_haar's law name, and its entries are skipped.
+    O(|act|) on a table built by the constructors, which is already sorted.
     """
     if system.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
     bad: list[Violation] = []
-    fibers = A.moment_fibers()
     G = A.groupoid
-    for g in G.sorted_elements():
-        top = system.measure(G.range_map[g])
-        bottom = system.measure(G.source_map[g])
-        for z in fibers.get(G.source_map[g], ()):
-            lhs = top.weight(A.act[(g, z)])
-            rhs = bottom.weight(z)
-            if lhs != rhs:
-                bad.append(
-                    Violation("equivariance", (f"g={g}", f"z={z}", f"lhs={lhs}", f"rhs={rhs}"))
-                )
+    last = None
+    for (g, z), w in sorted(A.act.items()):
+        if g != last:  # the entries of one arrow are adjacent in sorted order
+            last = g
+            r, s = G.range_map.get(g), G.source_map.get(g)
+            gaps = [name for name, end in (("range", r), ("source", s)) if end is None]
+            bad.extend(Violation(f"{name} undefined", (f"x={g}",)) for name in gaps)
+            top, bottom = system.measure(r), system.measure(s)
+        if gaps:
+            continue
+        lhs = top.weight(w)
+        rhs = bottom.weight(z)
+        if lhs != rhs:
+            bad.append(Violation("equivariance", (f"g={g}", f"z={z}", f"lhs={lhs}", f"rhs={rhs}")))
     return ValidationReport(tuple(bad))
 
 
@@ -136,26 +142,18 @@ def psi_phi(
     """The cut-off-weighted average of f along translated fibers.
 
     For each arrow g the value is the sum over the moment fiber at s(g) of
-    f(g.z) * phi(z) * beta-weight of z.
+    f(g.z) * phi(z) * beta-weight of z.  After the checks, one walk over the
+    action table adds each entry (g, z) into the value at g: O(|act|).
     """
     if beta.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
     validate_action(A).require("invalid action")
     _require_cutoff_matches(phi, A, "averaging weight")
     values = {str(z): as_fraction(v, f"f({z})") for z, v in f.items()}
-    fibers = A.moment_fibers()
     G = A.groupoid
-    out: dict[str, Fraction] = {}
-    for g in G.sorted_elements():
-        sg = G.source_map[g]
-        m = beta.measure(sg)
-        out[g] = sum(
-            (
-                values.get(A.act[(g, z)], ZERO) * phi.weight(z) * m.weight(z)
-                for z in fibers.get(sg, ())
-            ),
-            ZERO,
-        )
+    out = {g: ZERO for g in G.sorted_elements()}
+    for (g, z), w in A.act.items():
+        out[g] += values.get(w, ZERO) * phi.weight(z) * beta.weight(G.source_map[g], z)
     return out
 
 
@@ -177,8 +175,10 @@ def average_system(
         sum over g in the range fiber at u of
             lam-weight of g * phi(inv(g).w) * beta-weight of inv(g).w at s(g).
 
-    Fullness and equivariance of the result are re-verified before returning;
-    a failure there is a bug, not an input error.
+    After the checks, one walk over the action table adds the term of each
+    entry (g, z) into the weight of g.z at r(g): O(|act|).  Fullness and
+    equivariance of the result are re-verified before returning; a failure
+    there is a bug, not an input error.
     """
     G = A.groupoid
     if lam.groupoid != G:
@@ -196,23 +196,12 @@ def average_system(
 def _average(lam: HaarSystem, A: Action, beta: FiberSystem, phi: Cutoff) -> FiberSystem:
     """average_system on inputs already checked to fit together."""
     G = A.groupoid
-    fibers = A.moment_fibers()
-    rfib = G.range_fibers()
-    inv = G.inverse_map
-    measures: dict[str, Measure] = {}
-    for u in G.sorted_units():
-        weights: dict[str, Fraction] = {}
-        for w in fibers.get(u, ()):
-            total = ZERO
-            for g in rfib.get(u, ()):
-                pulled = A.act[(inv[g], w)]
-                total += (
-                    lam.weight(u, g)
-                    * phi.weight(pulled)
-                    * beta.weight(G.source_map[g], pulled)
-                )
-            weights[w] = total
-        measures[u] = Measure(weights)
+    weights: dict[str, dict[str, Fraction]] = {u: {} for u in G.units}
+    for (g, z), w in A.act.items():
+        u = G.range_map[g]
+        term = lam.weight(u, g) * phi.weight(z) * beta.weight(G.source_map[g], z)
+        weights[u][w] = weights[u].get(w, ZERO) + term
+    measures = {u: Measure(ws) for u, ws in weights.items()}
     nu = fiber_system(A.moment, measures)
     check_system(nu).require("internal: averaged system not full", RuntimeError)
     check_equivariant(A, nu).require("internal: averaged system not equivariant", RuntimeError)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
+import generators as gen
 from isosearch import isomorphic
 from generators import unit_carrier_equivalence
 from haarsys import (
@@ -73,6 +75,30 @@ def test_action_table_must_cover_exactly_the_matched_pairs():
 def test_action_must_leave_the_carrier_alone():
     with pytest.raises(ValueError):
         left_action(z2(), ["p"], {"p": "e"}, {("e", "p"): "p", ("g", "p"): "w"})
+
+
+def test_constructors_raise_the_first_table_violation():
+    with pytest.raises(ValueError) as exc:
+        left_action(z2(), ["p"], {"p": "e"}, {("e", "p"): "p"})
+    assert str(exc.value) == "invalid action: violation domain: g=g z=p missing"
+    with pytest.raises(ValueError) as exc:
+        right_action(z2(), ["p"], {"p": "e"}, {("p", "e"): "p", ("p", "g"): "w"})
+    assert str(exc.value) == "invalid action: violation carrier: g=g z=p value=w"
+    with pytest.raises(ValueError) as exc:
+        right_action(z2(), ["p"], {"p": "e"}, {("p", "e"): "p", ("p", "h"): "p"})
+    assert str(exc.value) == "unknown acting element: h"
+
+
+def test_left_action_names_a_dropped_entry_on_random_tables():
+    rng = random.Random(31)
+    for _ in range(30):
+        G, _, A = gen.random_proper_space(rng)
+        g, z = rng.choice(sorted(A.act))
+        table = {key: w for key, w in A.act.items() if key != (g, z)}
+        with pytest.raises(ValueError) as exc:
+            left_action(G, A.carrier, A.moment, table)
+        assert str(exc.value) == f"invalid action: violation domain: g={g} z={z} missing"
+        assert validate_action(replace(A, act=table)).violations[0].render() in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +275,6 @@ def test_imprimitivity_of_rectangle_left_side_is_the_column_pair_groupoid():
 def test_imprimitivity_needs_freeness():
     with pytest.raises(ValueError):
         imprimitivity_groupoid(trivial_point_action())
-
-
-def test_imprimitivity_orientation_tag_must_match():
-    with pytest.raises(ValueError):
-        imprimitivity_groupoid(swap_action(), orientation="right")
 
 
 def test_imprimitivity_groupoid_validates_the_groupoid():

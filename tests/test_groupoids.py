@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -440,6 +445,29 @@ def test_stability_group_of_trivial_transformation():
     G = transformation_groupoid(z2(), act, ["p"])
     group, _ = stability_group(G, transformation_arrow("e", "p"))
     assert isomorphic(group, z2())
+
+
+def test_orbit_maps_come_in_sorted_order_whatever_the_hash_seed():
+    code = (
+        "import json\n"
+        "from haarsys import pair_groupoid, relation_groupoid, unit_orbit_map\n"
+        "from haarsys.actions import _orbit_reps, left_translation_action\n"
+        "maps = [unit_orbit_map(pair_groupoid('1234')),\n"
+        "        unit_orbit_map(relation_groupoid({'a': 'X', 'b': 'Y', 'c': 'X', 'd': 'Y'})),\n"
+        "        _orbit_reps(left_translation_action(pair_groupoid('123')))]\n"
+        "print(json.dumps([list(m) for m in maps]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    keys = json.loads(proc.stdout)
+    assert [len(k) for k in keys] == [4, 4, 9]
+    assert keys[0] == [pair_arrow(p, p) for p in "1234"]
+    for k in keys:
+        assert k == sorted(k)
 
 
 def test_unit_orbit_map_splits_components():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from haarsys import actions, groupoids, systems
 from haarsys import (
     Measure,
     PipelineError,
+    Violation,
     average_system,
     blow_up,
     blowup_arrow,
@@ -80,6 +82,50 @@ def test_swap_beta_is_not_equivariant():
 def test_averaged_swap_system_is_equivariant():
     nu = average_system(counting_haar(z2()), swap_action(), swap_beta(), swap_cutoff())
     assert check_equivariant(swap_action(), nu).passed
+
+
+def test_check_equivariant_reports_a_missing_table_entry():
+    A = swap_action()
+    broken = replace(A, act={key: w for key, w in A.act.items() if key != ("g", "z2")})
+    report = check_equivariant(broken, swap_beta())
+    assert report.render() == "status: FAIL\nviolation equivariance: g=g z=z1 lhs=2 rhs=1"
+
+
+@pytest.mark.parametrize("table", ["range", "source"])
+def test_check_equivariant_reports_an_arrow_without_an_end(table):
+    A = swap_action()
+    broken = replace(A, groupoid=replace(z2(), **{f"{table}_map": {"e": "e"}}))
+    report = check_equivariant(broken, swap_beta())
+    assert report.render() == f"status: FAIL\nviolation {table} undefined: x=g"
+
+
+def exhaustive_equivariance(A, system):
+    """Every equivariance violation, by a scan of G x moment fibers."""
+    G = A.groupoid
+    bad = []
+    for g in G.sorted_elements():
+        r, s = G.range_map[g], G.source_map[g]
+        for z in A.sorted_carrier():
+            if A.moment[z] != s:
+                continue
+            lhs, rhs = system.weight(r, A.act[(g, z)]), system.weight(s, z)
+            if lhs != rhs:
+                bad.append(Violation("equivariance", (f"g={g}", f"z={z}", f"lhs={lhs}", f"rhs={rhs}")))
+    return bad
+
+
+def test_check_equivariant_lists_what_an_exhaustive_scan_finds():
+    rng = random.Random(26)
+    found = 0
+    for _ in range(40):
+        _, lam, A = gen.random_proper_space(rng)
+        beta = gen.random_full_beta(A, rng)
+        nu = average_system(lam, A, beta, gen.random_cutoff_for(A, rng))
+        for system in (beta, nu):
+            expected = exhaustive_equivariance(A, system)
+            assert list(check_equivariant(A, system).violations) == expected
+            found += len(expected)
+    assert found > 0
 
 
 def test_check_equivariant_requires_the_moment_base():
@@ -170,6 +216,36 @@ def test_average_output_is_full_and_equivariant_on_random_instances():
         nu = average_system(lam, A, gen.random_full_beta(A, rng), gen.random_cutoff_for(A, rng))
         assert check_system(nu).passed
         assert check_equivariant(A, nu).passed
+
+
+def test_average_system_matches_the_fiber_formula():
+    rng = random.Random(24)
+    for _ in range(30):
+        G, lam, A = gen.random_proper_space(rng)
+        beta, phi = gen.random_full_beta(A, rng), gen.random_cutoff_for(A, rng)
+        nu = average_system(lam, A, beta, phi)
+        assert sorted(nu.measures) == G.sorted_units()
+        for w in A.sorted_carrier():
+            u = A.moment[w]
+            expected = Fraction(0)
+            for g in G.range_fiber(u):
+                z = A.apply(G.inv(g), w)
+                expected += lam.weight(u, g) * phi.weight(z) * beta.weight(G.s(g), z)
+            assert nu.weight(u, w) == expected
+
+
+def test_averaging_integrates_psi_phi_against_lam():
+    rng = random.Random(25)
+    for _ in range(30):
+        G, lam, A = gen.random_proper_space(rng)
+        beta, phi = gen.random_full_beta(A, rng), gen.random_cutoff_for(A, rng)
+        f = {z: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for z in A.sorted_carrier()}
+        nu = average_system(lam, A, beta, phi)
+        psi = psi_phi(f, phi, beta, A)
+        for u in G.sorted_units():
+            lhs = sum((f[w] * weight for w, weight in nu.measure(u).items()), Fraction(0))
+            rhs = sum((lam.weight(u, g) * psi[g] for g in G.range_fiber(u)), Fraction(0))
+            assert lhs == rhs
 
 
 def test_average_rejects_foreign_cutoff():
