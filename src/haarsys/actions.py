@@ -18,7 +18,6 @@ from .groupoids import (
     Violation,
     _edge_components,
     _fibers,
-    _least_components,
     make_groupoid,
     validate_groupoid,
 )
@@ -365,13 +364,15 @@ def imprimitivity_groupoid(A: Action) -> tuple[Groupoid, dict[tuple[str, str], s
 
     Elements are orbits of pairs (x, y) with moment(x) == moment(y); the
     class of (x, y) runs from the class of (x, x) to the class of (y, y),
-    composes by splicing, and inverts by swapping the pair.  Composition of
-    classes is computed through the unique translating element supplied by
-    freeness.  Returns the groupoid together with the map sending each pair
-    to its class token; tokens name the least pair in each orbit.
+    composes by splicing, and inverts by swapping the pair.  Returns the
+    groupoid together with the map sending each pair to its class token;
+    tokens name the least pair in each orbit.
 
-    Orbits and products walk source and range fibers: O(|G| + (pairs +
-    composable pairs of classes) x source-fiber size).
+    Freeness makes both steps lookups in the translator index (z, g.z) -> g.
+    The least pair of the class of (x, y) is (x0, g.y), where x0 is the least
+    point of the orbit of x and g is the translator of (x, x0); the product
+    [x, y][w, z] is [x, t.z], where t is the translator of (w, y).  Cost:
+    O(|act| + pairs + composable pairs of classes), plus sorting the pairs.
     """
     validate_groupoid(A.groupoid).require("invalid groupoid")
     validate_action(A).require("invalid action")
@@ -380,49 +381,38 @@ def imprimitivity_groupoid(A: Action) -> tuple[Groupoid, dict[tuple[str, str], s
     return _imprimitivity(A)
 
 
+def _translators(A: Action) -> dict[tuple[str, str], str]:
+    """The map (z, g.z) -> g of a free action, where freeness makes g unique: O(|act|)."""
+    return {(z, w): g for (g, z), w in A.act.items()}
+
+
 def _imprimitivity(A: Action) -> tuple[Groupoid, dict[tuple[str, str], str]]:
     """imprimitivity_groupoid of an action already known to be valid and free."""
-    G = A.groupoid
-    mom = A.moment
+    act = A.act
+    orbit = _orbit_reps(A)
+    translator = _translators(A)
     pairs = sorted((x, y) for zs in A.moment_fibers().values() for x in zs for y in zs)
-    sfib = _fibers(G.sorted_elements(), G.source_map.get)
 
-    def diagonal(pair: tuple[str, str]):
-        x, y = pair
-        return ((A.act[(g, x)], A.act[(g, y)]) for g in sfib.get(mom[x], ()))
+    labeling = {}
+    class_rep = {}
+    for x, y in pairs:
+        x0 = orbit[x]
+        rep = (x0, act[(translator[(x, x0)], y)])
+        labeling[(x, y)] = c = _pair_token(*rep)
+        class_rep[c] = rep
+    range_map = {c: labeling[(x, x)] for c, (x, _) in class_rep.items()}
+    source_map = {c: labeling[(y, y)] for c, (_, y) in class_rep.items()}
+    inverse_map = {c: labeling[(y, x)] for c, (x, y) in class_rep.items()}
 
-    rep = _least_components(pairs, diagonal)
-    labeling = {p: _pair_token(*rep[p]) for p in pairs}
-    classes = sorted({labeling[p] for p in pairs})
-    class_rep = {labeling[p]: rep[p] for p in pairs}  # rep is the least pair of its orbit
-
-    elements = classes
-    units = {labeling[(x, x)] for x, _ in pairs}
-    range_map = {}
-    source_map = {}
-    inverse_map = {}
-    for c in classes:
-        x, y = class_rep[c]
-        range_map[c] = labeling[(x, x)]
-        source_map[c] = labeling[(y, y)]
-        inverse_map[c] = labeling[(y, x)]
-
-    by_range = _fibers(classes, range_map.get)
+    by_range = _fibers(class_rep, range_map.get)
     compose = {}
-    for c1 in classes:
-        x, y = class_rep[c1]
-        for c2 in by_range.get(source_map[c1], ()):
+    for c1, (x, y) in class_rep.items():
+        for c2 in by_range[source_map[c1]]:
             w, z = class_rep[c2]
-            # the unique g with g.w == y, when the pairs (w, w) and (y, y) share a class
-            g = next((g for g in sfib.get(mom[w], ()) if A.act[(g, w)] == y), None)
-            if g is None:
-                raise ValueError(f"composable classes without a translator: {c1} {c2}")
-            compose[(c1, c2)] = labeling[(x, A.act[(g, z)])]
+            compose[(c1, c2)] = labeling[(x, act[(translator[(w, y)], z)])]
 
-    return (
-        make_groupoid(elements, units, range_map, source_map, inverse_map, compose),
-        labeling,
-    )
+    imp = make_groupoid(class_rep, range_map.values(), range_map, source_map, inverse_map, compose)
+    return imp, labeling
 
 
 def imprimitivity_iso(
@@ -448,19 +438,16 @@ def imprimitivity_iso(
 def _class_translation(
     E: Equivalence, imp: Groupoid, labeling: dict[tuple[str, str], str]
 ) -> dict[str, str]:
-    """The iso of imprimitivity_iso, for a checked equivalence and its imprimitivity groupoid."""
-    H = E.right.groupoid
-    sigma = E.right.moment
-    class_rep = {c: pairs[0] for c, pairs in _fibers(sorted(labeling), labeling.get).items()}
+    """The iso of imprimitivity_iso, for a checked equivalence and its imprimitivity groupoid.
 
-    hr = H.range_fibers()
-    iso: dict[str, str] = {}
-    for c in imp.sorted_elements():
-        x, y = class_rep[c]
-        matches = [h for h in hr.get(sigma[x], ()) if E.right.apply_right(x, h) == y]
-        if len(matches) != 1:
-            raise ValueError(f"no unique translator for class {c}; equivalence axioms must hold")
-        iso[c] = matches[0]
+    The class of (x, y) goes to the unique h with x.h == y: the right table
+    is stored as (inv(h), z) -> z.h, so h inverts the right action's
+    translator of (x, y).  O(|act| + pairs + composable pairs of classes).
+    """
+    H = E.right.groupoid
+    translator = _translators(E.right)
+    class_rep = {c: pairs[0] for c, pairs in _fibers(sorted(labeling), labeling.get).items()}
+    iso = {c: H.inverse_map[translator[class_rep[c]]] for c in imp.sorted_elements()}
 
     if sorted(iso.values()) != H.sorted_elements():
         raise RuntimeError("internal: class translation is not a bijection")

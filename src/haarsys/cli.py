@@ -313,6 +313,13 @@ DEMOS = {
 # wiring
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haarsys",
@@ -362,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assoc-check", help="test convolution associativity")
     p.add_argument("--groupoid", required=True)
     p.add_argument("--system", required=True)
-    p.add_argument("--trials", type=int, default=64)
+    p.add_argument("--trials", type=_positive_int, default=64)
     p.set_defaults(func=cmd_assoc_check)
 
     p = sub.add_parser("demo", help="emit a named worked example")

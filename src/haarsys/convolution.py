@@ -201,8 +201,10 @@ def associativity_oracle(
     Small groupoids get the exhaustive indicator basis, which decides
     associativity exactly by bilinearity; larger ones get seeded random
     signed combinations.  The first violating triple is reported with the
-    element where the two bracketings disagree.
+    element where the two bracketings disagree.  trials must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"associativity oracle: trials must be at least 1, got {trials}")
     sys = _bind(G, lam, "associativity oracle")
     rfib = G.range_fibers()
     for u in G.sorted_units():

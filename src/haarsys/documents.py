@@ -161,10 +161,15 @@ def _need(data: dict, key: str, kind: type, where: str):
 
 
 def _str_list(data: dict, key: str, where: str) -> list[str]:
+    """A list of distinct string tokens: a repeat is refused, never merged."""
     value = _need(data, key, list, where)
+    seen: set[str] = set()
     for item in value:
         if not isinstance(item, str):
             raise _fail(_at(where, key), f"non-string token: {item!r}")
+        if item in seen:
+            raise _fail(_at(where, key), f"duplicate token: {item!r}")
+        seen.add(item)
     return value
 
 
@@ -325,8 +330,9 @@ def _decode_function(data: dict, where: str = "") -> dict[str, Fraction]:
 
 def _decode_pair(data: dict) -> Groupoid:
     _check_keys(data, {"version", "kind", "meta", "points"}, "")
+    points = _str_list(data, "points", "")
     try:
-        return pair_groupoid(_str_list(data, "points", ""))
+        return pair_groupoid(points)
     except ValueError as exc:
         raise SchemaError(f"pair constructor: {exc}") from exc
 

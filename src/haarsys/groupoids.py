@@ -322,14 +322,16 @@ def _associative_on_generators(
     return True
 
 
-def _least_components(nodes: Iterable, neighbours: Callable[..., Iterable]) -> dict:
-    """Map every node reachable from nodes to the least node of its component.
+def _edge_components(nodes: list, edges: Iterable[tuple]) -> dict:
+    """Map each node to the least node of its component; edges leaving nodes are ignored.
 
-    neighbours(n) yields the nodes one step from n.  Whatever n reaches must
-    also reach n (an undirected graph, or the moves of a groupoid action), so
-    each search finds a whole component.  The map's keys come in sorted
-    order, so it does not depend on the hash seed.
+    Keys come in sorted order, so the map does not depend on the hash seed.
     """
+    adj: dict = {n: set() for n in nodes}
+    for a, b in edges:
+        if a in adj and b in adj:
+            adj[a].add(b)
+            adj[b].add(a)
     rep: dict = {}
     for start in nodes:
         if start in rep:
@@ -337,7 +339,7 @@ def _least_components(nodes: Iterable, neighbours: Callable[..., Iterable]) -> d
         seen = {start}
         queue = [start]
         while queue:
-            for nxt in neighbours(queue.pop()):
+            for nxt in adj[queue.pop()]:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -345,16 +347,6 @@ def _least_components(nodes: Iterable, neighbours: Callable[..., Iterable]) -> d
         for node in seen:
             rep[node] = least
     return dict(sorted(rep.items()))
-
-
-def _edge_components(nodes: list, edges: Iterable[tuple]) -> dict:
-    """Map each node to the least node of its component; edges leaving nodes are ignored."""
-    adj: dict = {n: set() for n in nodes}
-    for a, b in edges:
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    return _least_components(nodes, adj.__getitem__)
 
 
 def is_transitive(G: Groupoid) -> bool:

@@ -42,6 +42,8 @@ NO_WEIGHT = (0, 1)
 
 
 def as_fraction(value: Rational, where: str = "weight") -> Fraction:
+    if type(value) is Fraction:  # already exact and reduced; a subclass is rebuilt below
+        return value
     if isinstance(value, float):
         # floats round; exact work wants "p/q" strings or Fractions
         raise ValueError(f"{where}: refusing float {value!r}, write a p/q string instead")

@@ -312,3 +312,66 @@ def test_imprimitivity_iso_matches_the_right_groupoid():
     assert iso[labeling[("1|a", "1|b")]] == pair_arrow("a", "b")
     for (c1, c2), c3 in imp.compose_map.items():
         assert cols.compose_map[(iso[c1], iso[c2])] == iso[c3]
+
+
+def imprimitivity_from_definition(A):
+    """Tables of the imprimitivity groupoid and its labeling, by orbit closure and scans."""
+    G, mom, points = A.groupoid, A.moment, A.sorted_carrier()
+    pairs = [(x, y) for x in points for y in points if mom[x] == mom[y]]
+    # the diagonal orbit of (x, y) is its image under every arrow of the source fiber at moment(x)
+    labeling = {}
+    for x, y in pairs:
+        orbit = [(A.act[(g, x)], A.act[(g, y)]) for g in G.elements if G.source_map[g] == mom[x]]
+        labeling[(x, y)] = "imp:{}|{}".format(*min(orbit))
+    rep = {c: min(p for p in pairs if labeling[p] == c) for c in labeling.values()}
+    range_map = {c: labeling[(x, x)] for c, (x, y) in rep.items()}
+    source_map = {c: labeling[(y, y)] for c, (x, y) in rep.items()}
+    inverse_map = {c: labeling[(y, x)] for c, (x, y) in rep.items()}
+    compose = {}
+    for c1, (x, y) in rep.items():
+        for c2, (w, z) in rep.items():
+            if source_map[c1] == range_map[c2]:
+                (g,) = [g for g in G.elements if A.act.get((g, w)) == y]
+                compose[(c1, c2)] = labeling[(x, A.act[(g, z)])]
+    units = {labeling[(x, x)] for x, _ in pairs}
+    imp = make_groupoid(rep, units, range_map, source_map, inverse_map, compose)
+    return imp, labeling, rep
+
+
+def assert_imprimitivity_matches_definition(A):
+    imp, labeling = imprimitivity_groupoid(A)
+    expected_imp, expected_labeling, _ = imprimitivity_from_definition(A)
+    assert imp == expected_imp
+    assert labeling == expected_labeling
+    assert list(labeling) == sorted(labeling)
+
+
+def test_imprimitivity_groupoid_matches_its_definition_on_random_free_actions():
+    rng = random.Random(41)
+    free = 0
+    for _ in range(60):
+        _, _, A = gen.random_proper_space(rng)
+        if is_free(A):
+            assert_imprimitivity_matches_definition(A)
+            free += 1
+    assert free >= 20
+
+
+def test_imprimitivity_iso_matches_its_definition_on_both_sides_of_random_equivalences():
+    rng = random.Random(42)
+    for _ in range(30):
+        _, _, _, E0 = gen.random_equivalence(rng)
+        for E in (E0, opposite_equivalence(E0)):
+            assert_imprimitivity_matches_definition(E.left)
+            _, labeling, iso = imprimitivity_iso(E)
+            H, sigma = E.right.groupoid, E.right.moment
+            # the class of (x, y) goes to the unique h of H with x.h == y
+            _, _, rep = imprimitivity_from_definition(E.left)
+            for c, (x, y) in rep.items():
+                (h,) = [
+                    h
+                    for h in H.elements
+                    if H.range_map[h] == sigma[x] and E.right.apply_right(x, h) == y
+                ]
+                assert iso[c] == h
+            assert set(iso) == set(labeling.values())

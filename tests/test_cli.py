@@ -75,6 +75,15 @@ def test_validate_malformed_document_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_repeated_carrier_point_exits_two(tmp_path, capsys):
+    data = json.loads(serialize(CORPUS["action-swap"]))
+    data["carrier"] = ["z1", "z1", "z2"]
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: field 'carrier': duplicate token: 'z1'\n"
+
+
 def test_validate_missing_file_exits_two(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -319,6 +328,16 @@ def test_assoc_check_flags_the_skewed_system(tmp_path, capsys):
     assert main(["assoc-check", "--groupoid", g, "--system", s]) == 1
     out = capsys.readouterr().out
     assert "lhs=2" in out and "rhs=4" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "two"])
+def test_assoc_check_refuses_a_trial_count_below_one(trials, tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", pair2()))
+    s = write_doc(tmp_path, "s.json", Document("system", counting_haar(pair2()).system))
+    assert main(["assoc-check", "--groupoid", g, "--system", s, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--trials: expected a positive integer, got {trials!r}" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,13 @@ def test_oracle_randomizes_beyond_the_exhaustive_limit():
     assert report.notes == ("mode: randomized (16 signed-combination triples, seed 3)",)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_oracle_refuses_a_trial_count_below_one(trials):
+    G = pair_groupoid(["1", "2", "3", "4"])
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}$"):
+        associativity_oracle(G, counting_haar(G), trials=trials)
+
+
 def test_oracle_rejects_support_off_the_fiber():
     G = pair2()
     u1 = pair_arrow("1", "1")

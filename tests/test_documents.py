@@ -114,6 +114,31 @@ def test_duplicate_compose_pair_fails():
         parse(json.dumps(base))
 
 
+def test_repeated_element_fails_naming_the_first_repeat():
+    base = payload(serialize(Document("groupoid", z2())))
+    base["elements"] = ["e", "g", "g"]
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps(base))
+    assert str(err.value) == "field 'elements': duplicate token: 'g'"
+
+
+def test_repeated_unit_fails_with_its_path():
+    data = payload(serialize(fixture_corpus()["action-swap"]))
+    data["groupoid"]["units"] = ["e", "e"]
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps(data))
+    assert str(err.value) == "field 'groupoid.units': duplicate token: 'e'"
+
+
+def test_repeated_carrier_point_fails_instead_of_merging():
+    data = payload(serialize(fixture_corpus()["equivalence-rect32"]))
+    carrier = data["left"]["carrier"]
+    data["left"]["carrier"] = [carrier[1], carrier[0], carrier[1], carrier[0]] + carrier[2:]
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps(data))
+    assert str(err.value) == f"field 'left.carrier': duplicate token: {carrier[1]!r}"
+
+
 def test_parse_keeps_axiom_checking_out_of_the_schema():
     # a wrong product is schema-legal; the validator is the place that flags it
     base = payload(serialize(Document("groupoid", z2())))
@@ -187,6 +212,12 @@ def test_relation_sugar_expands_a_quotient_map():
     )
     assert doc.kind == "groupoid"
     assert len(doc.payload.elements) == 4
+
+
+def test_pair_sugar_rejects_a_repeated_point():
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps({"version": 1, "kind": "pair", "points": ["1", "2", "1"]}))
+    assert str(err.value) == "field 'points': duplicate token: '1'"
 
 
 def test_relation_sugar_honors_codomain():
