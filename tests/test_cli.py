@@ -84,6 +84,21 @@ def test_validate_repeated_carrier_point_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: field 'carrier': duplicate token: 'z1'\n"
 
 
+def test_validate_relation_map_with_a_non_string_value_exits_two(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text('{"version": 1, "kind": "relation", "map": {"a": 3}}')
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: field 'map': non-string value for 'a': 3\n"
+
+
+def test_validate_repeated_object_key_exits_two(tmp_path, capsys):
+    text = serialize(CORPUS["system-z2-skew"])
+    path = tmp_path / "s.json"
+    path.write_text(text.replace('"base": {', '"base": {"g": "e", ', 1))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: duplicate key: 'g'\n"
+
+
 def test_validate_missing_file_exits_two(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err

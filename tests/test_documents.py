@@ -6,9 +6,20 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from haarsys import Document, SchemaError, parse, serialize, validate_groupoid
-from haarsys.documents import SCHEMA_VERSION
+from haarsys import (
+    Document,
+    Measure,
+    SchemaError,
+    fiber_system,
+    make_groupoid,
+    parse,
+    serialize,
+    validate_groupoid,
+)
+from haarsys import cli
+from haarsys.documents import SCHEMA_VERSION, _emit
 from haarsys.fixtures import fixture_corpus, pair2, z2
 
 
@@ -28,10 +39,82 @@ def test_round_trip_on_the_whole_corpus():
         assert serialize(back) == text, name
 
 
-def test_serialized_form_is_sorted_and_newline_terminated():
-    text = serialize(Document("groupoid", pair2()))
-    assert text.endswith("\n")
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+def dumps_oracle(text: str) -> str:
+    """The canonical text as json.dumps writes it, independent of serialize's emitter."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def demo_documents(monkeypatch) -> list[Document]:
+    """Every document the five demos serialize, recorded as they run."""
+    seen: list[Document] = []
+
+    def record(doc):
+        seen.append(doc)
+        return serialize(doc)
+
+    monkeypatch.setattr(cli, "serialize", record)
+    for run in cli.DEMOS.values():
+        run()
+    return seen
+
+
+def test_serialized_form_is_sorted_and_newline_terminated(monkeypatch):
+    # every corpus document and every document the demos print
+    docs = list(fixture_corpus().values()) + demo_documents(monkeypatch)
+    assert len(docs) > len(fixture_corpus()) + len(cli.DEMOS)
+    for doc in docs:
+        text = serialize(doc)
+        assert text == dumps_oracle(text), doc.kind
+
+
+def test_serialize_writes_empty_fields_as_empty_brackets():
+    empty = Document("groupoid", make_groupoid([], [], {}, {}, {}, {}), {"note": ""})
+    text = serialize(empty)
+    assert text == dumps_oracle(text)
+    assert '"compose": [],' in text and '"range": {},' in text
+    assert parse(text) == empty
+    for doc in (Document("function", {}), Document("system", fiber_system({}, {}))):
+        assert serialize(doc) == dumps_oracle(serialize(doc))
+
+
+def test_emitter_matches_json_dumps_on_mixed_nesting():
+    value = {"b": [[], ["x"], [1, {"k": []}], "y"], "a": {"z": {}, "y": ["\u00e9"]}, "c": 0}
+    assert _emit(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+ODD = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600a,|:/'), max_size=4)
+tokens = st.lists(ODD, unique=True, max_size=5)
+weights = st.fractions(min_value=0, max_value=50, max_denominator=7)
+
+
+@st.composite
+def odd_documents(draw):
+    toks = draw(tokens)
+    meta = draw(st.dictionaries(ODD, ODD, max_size=3))
+    kind = draw(st.sampled_from(["groupoid", "system", "function"]))
+    if not toks:
+        empty = {"groupoid": make_groupoid([], [], {}, {}, {}, {}), "system": fiber_system({}, {})}
+        return Document(kind, empty.get(kind, {}), meta)
+    tok = st.sampled_from(toks)
+    if kind == "groupoid":
+        maps = [draw(st.dictionaries(tok, tok)) for _ in range(3)]
+        compose = draw(st.dictionaries(st.tuples(tok, tok), tok))
+        units = draw(st.lists(tok, unique=True))
+        return Document(kind, make_groupoid(toks, units, *maps, compose), meta)
+    if kind == "system":
+        base = draw(st.dictionaries(tok, tok))
+        measures = {u: Measure(draw(st.dictionaries(tok, weights))) for u in set(base.values())}
+        return Document(kind, fiber_system(base, measures), meta)
+    return Document(kind, draw(st.dictionaries(tok, weights | st.integers(-9, 9))), meta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(odd_documents())
+def test_serialize_writes_the_json_dumps_bytes_on_odd_tokens(doc):
+    text = serialize(doc)
+    assert text == dumps_oracle(text)
+    assert text.isascii()
 
 
 def test_fractional_weights_round_trip_as_strings():
@@ -137,6 +220,93 @@ def test_repeated_carrier_point_fails_instead_of_merging():
     with pytest.raises(SchemaError) as err:
         parse(json.dumps(data))
     assert str(err.value) == f"field 'left.carrier': duplicate token: {carrier[1]!r}"
+
+
+def test_repeated_object_key_fails_naming_it():
+    text = serialize(Document("groupoid", z2())).replace('"range": {', '"range": {"g": "g", ', 1)
+    with pytest.raises(SchemaError) as err:
+        parse(text)
+    assert str(err.value) == "duplicate key: 'g'"
+
+
+def schema_error(data: dict) -> str:
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps(data))
+    return str(err.value)
+
+
+def edited(name: str, path: tuple, value) -> dict:
+    """The corpus document name with the field at path set to value."""
+    data = payload(serialize(fixture_corpus()[name]))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return data
+
+
+Z2_ROWS = [["e", "e", "e"], ["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]]
+SWAP_ROWS = [["e", "z1", "z1"], ["e", "z2", "z2"], ["g", "z1", "z2"], ["g", "z2", "z1"]]
+RIGHT = payload(serialize(fixture_corpus()["action-rect32-right"]))["table"]
+Z2, SWAP, RECT = "groupoid-z2", "action-swap", "action-rect32-right"
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        (Z2, ("elements",), ["e", 5],
+         "field 'elements': non-string token: 5"),
+        (Z2, ("units",), ["ghost"],
+         "field 'units': references unknown element: 'ghost'"),
+        (Z2, ("range",), {"e": "e", "g": 5},
+         "field 'range': non-string value for 'g': 5"),
+        (Z2, ("range",), {"e": "e", "ghost": "e"},
+         "field 'range': references unknown element: 'ghost'"),
+        (Z2, ("inverse",), {"e": "e", "g": "ghost"},
+         "field 'inverse': references unknown element: 'ghost'"),
+        (Z2, ("compose",), Z2_ROWS + ["g"],
+         "field 'compose': expected [x, y, xy] triple, got 'g'"),
+        (Z2, ("compose",), Z2_ROWS + [["g", "g"]],
+         "field 'compose': expected [x, y, xy] triple, got ['g', 'g']"),
+        (Z2, ("compose",), Z2_ROWS + [["g", 5, "e"]],
+         "field 'compose': non-string token: 5"),
+        (Z2, ("compose",), Z2_ROWS + [["g", ["g"], "e"]],
+         "field 'compose': non-string token: ['g']"),
+        (Z2, ("compose",), Z2_ROWS + [["g", "g", "g"]],
+         "field 'compose': duplicate pair: ['g', 'g']"),
+        # the ordered walk names the first offender, not the first kind of fault
+        (Z2, ("compose",), [["e", "e", "e"], ["g", "ghost", "e"], ["g"], ["e", "e", "g"]],
+         "field 'compose': references unknown element: 'ghost'"),
+        (SWAP, ("groupoid", "compose"), Z2_ROWS + [["g", "e", "ghost"]],
+         "field 'groupoid.compose': references unknown element: 'ghost'"),
+        (SWAP, ("table",), SWAP_ROWS + ["g"],
+         "field 'table': expected a three-token row, got 'g'"),
+        (SWAP, ("table",), SWAP_ROWS + [["g", "z1"]],
+         "field 'table': expected a three-token row, got ['g', 'z1']"),
+        (SWAP, ("table",), SWAP_ROWS + [[5, "z1", "z2"]],
+         "field 'table': references unknown element: 5"),
+        (SWAP, ("table",), SWAP_ROWS + [[["g"], "z1", "z2"]],
+         "field 'table': references unknown element: ['g']"),
+        (SWAP, ("table",), SWAP_ROWS + [["g", {}, "z2"]],
+         "field 'table': references unknown carrier point: {}"),
+        (SWAP, ("table",), SWAP_ROWS + [["g", "z1", ["z2"]]],
+         "field 'table': references unknown carrier point: ['z2']"),
+        (SWAP, ("table",), SWAP_ROWS + [["ghost", "z1", "z2"]],
+         "field 'table': references unknown element: 'ghost'"),
+        (SWAP, ("table",), SWAP_ROWS + [["g", "zz", "z2"]],
+         "field 'table': references unknown carrier point: 'zz'"),
+        (SWAP, ("table",), SWAP_ROWS + [["g", "z1", "zz"]],
+         "field 'table': references unknown carrier point: 'zz'"),
+        (SWAP, ("table",), SWAP_ROWS + [["g", "z1", "z1"]],
+         "field 'table': duplicate pair: ['g', 'z1']"),
+        (RECT, ("table",), RIGHT + [RIGHT[0]],
+         f"field 'table': duplicate pair: {RIGHT[0][:2]!r}"),
+        (RECT, ("groupoid", "inverse"), {"pair:a,a": "pair:a,a"},
+         "field 'table': no inverse declared for acting element: 'pair:a,b'"),
+    ],
+)
+def test_fast_checks_fall_back_to_the_ordered_walk_texts(name, path, value, message):
+    assert schema_error(edited(name, path, value)) == message
 
 
 def test_parse_keeps_axiom_checking_out_of_the_schema():
