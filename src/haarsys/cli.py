@@ -23,7 +23,7 @@ from .actions import (
     validate_equivalence,
 )
 from .convolution import GroupoidFunction, associativity_oracle, convolve, delta
-from .documents import Document, SchemaError, parse, serialize
+from .documents import Document, SchemaError, _load_json, _schema, parse, serialize
 from .groupoids import ValidationReport, blow_up, validate_groupoid
 from .systems import (
     Cutoff,
@@ -69,14 +69,12 @@ def _load(path: str, *kinds: str) -> Document:
 
 def _load_map(path: str) -> dict[str, str]:
     try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"{path}: invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from None
+        data = _load_json(_read_text(path))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or not all(isinstance(v, str) for v in data.values()):
         raise SchemaError(f"{path}: expected an object mapping points to unit tokens")
-    return {str(k): v for k, v in data.items()}
+    return data
 
 
 def _report_outcome(report: ValidationReport) -> int:
@@ -133,7 +131,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
     G = _load(args.groupoid, "groupoid").payload
     fm = _load_map(args.map)
     beta = _load(args.fsystem, "system").payload
-    if beta.base_map != {str(k): str(v) for k, v in fm.items()}:
+    if beta.base_map != fm:
         raise ValueError("fiber system base map does not match the blow-up map")
     check_system(beta).require("not a full system")
     if args.haar:
@@ -164,13 +162,9 @@ def cmd_imprimitivity(args: argparse.Namespace) -> int:
 def cmd_convolve(args: argparse.Namespace) -> int:
     G = _load(args.groupoid, "groupoid").payload
     lam = _load(args.system, "system").payload
-    try:
+    with _schema(""):
         f = GroupoidFunction(G, _load(args.f, "function").payload)
         h = GroupoidFunction(G, _load(args.h, "function").payload)
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(str(exc)) from exc
     result = convolve(f, h, lam)
     _write_text(None, serialize(Document("function", dict(result.items()))))
     return 0

@@ -6,11 +6,13 @@ Parsing enforces referential integrity (every mentioned token must be
 declared) but not the algebraic axioms; broken tables must stay parseable so
 the validators can report them as violations rather than parse errors.
 
-Both directions run at C speed on clean documents.  Decoding checks each
-field's shape, tokens and pairs with set algebra over the whole field, and
-falls back to an ordered walk only when that check fails; the walk is the one
-source of SchemaError texts, so it names the same first offender either way.
-Encoding writes json.dumps's indent-2 bytes from C-encoded string leaves.
+Both directions run at C speed on clean documents.  Every field of tokens
+is read by one reader: _refs for token lists and maps, _rows for row tables
+(compose, action tables, the group sugar).  Each checks the whole field with
+C set algebra and falls back to its one ordered walk only when that check
+fails; the walk alone writes SchemaError texts, so it names the same first
+offender either way.  _load_json reads the JSON for parse and the CLI's map
+file.  Encoding writes json.dumps's indent-2 bytes from C-encoded strings.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 from .actions import Action, Equivalence, _canon_action
 from .convolution import GroupoidFunction
@@ -51,6 +55,10 @@ SUGAR_KINDS = ("pair", "group", "relation")
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 _STR, _LIST = {str}, {list}
+
+_ELEMENT, _POINT = "references unknown element", "references unknown carrier point"
+
+_HEAD = {"version", "kind", "meta"}
 
 _leaf = json.encoder.encode_basestring_ascii
 
@@ -213,6 +221,37 @@ def _at(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+@contextmanager
+def _schema(prefix: str):
+    """Re-raise a constructor's ValueError as a SchemaError led by prefix."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(f"{prefix}{exc}") from exc
+
+
+def _load_json(text: str) -> object:
+    """json.loads refusing a repeated object key, with a SchemaError for bad JSON."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object_pairs_hook of _load_json: a repeated key is refused, never overwritten."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"duplicate key: {key!r}")
+            seen.add(key)
+    return obj
+
+
 def _need(data: dict, key: str, kind: type, where: str):
     if key not in data:
         raise _fail(_at(where, key), "missing")
@@ -222,23 +261,74 @@ def _need(data: dict, key: str, kind: type, where: str):
     return value
 
 
-def _known(known: set[str] | frozenset[str], tokens: Iterable[object]) -> bool:
-    """True when every token is in known; an unhashable token is not known."""
+def _known(known: type | set[str] | frozenset[str], tokens: Iterable[object]) -> bool:
+    """True when every token is in known (a string, for known=str); an unhashable one is not."""
+    if known is str:
+        return set(map(type, tokens)) <= _STR
     try:
         return known.issuperset(tokens)
     except TypeError:
         return False
 
 
-def _triples(rows: list) -> bool:
-    """True when every row is a list of three items."""
-    return set(map(type, rows)) <= _LIST and set(map(len, rows)) <= {3}
+def _refs(where: str, columns: list[tuple[Iterable[object], Iterable[str], str]]) -> None:
+    """Refuse the first token missing from its column's known set, as "text: token".
+
+    columns holds (tokens, known, text), read side by side, so one item's
+    tokens are checked in column order.  A clean field passes on one C
+    superset test per column; only a failing field is walked.
+    """
+    if all(_known(known, tokens) for tokens, known, _ in columns):
+        return
+    for cells in zip(*[tokens for tokens, _, _ in columns]):
+        for cell, (_, known, text) in zip(cells, columns):
+            if not _known(known, (cell,)):
+                raise _fail(where, f"{text}: {cell!r}")
+
+
+def _rows(where: str, rows: list, shape: str, checks: list, build) -> dict:
+    """The table build(rows), such as {(a, b): c}, of a field of three-item rows.
+
+    checks holds (column, known, text) in check order; a failing check with
+    text None reports a bad row.  A clean field passes on C checks alone:
+    row shape, one superset test per column set (a str check is implied by
+    a set on its column, as sets hold only strings), then no repeated key.
+    Otherwise one ordered walk names the first offender: a row's shape,
+    then its cells in check order, then a repeated key.
+    """
+    typed = {col for col, known, _ in checks if known is not str}
+    if set(map(type, rows)) <= _LIST and set(map(len, rows)) <= {3}:
+        if all(
+            _known(known, map(itemgetter(col), rows))
+            for col, known, _ in checks
+            if known is not str or col not in typed
+        ):
+            table = build(rows)
+            if len(table) == len(rows):
+                return table
+    table = {}
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 3:
+            raise _fail(where, f"{shape}, got {row!r}")
+        for col, known, text in checks:
+            if not _known(known, (row[col],)):
+                raise _fail(where, f"{text}: {row[col]!r}" if text else f"{shape}, got {row!r}")
+        ((key, value),) = build([row]).items()
+        if key in table:
+            raise _fail(where, f"duplicate pair: {row[:2]!r}")
+        table[key] = value
+    return table
+
+
+def _pairs(rows: list) -> dict[tuple[str, str], str]:
+    """The table {(a, b): c} of clean [a, b, c] rows."""
+    return {(a, b): c for a, b, c in rows}
 
 
 def _str_list(data: dict, key: str, where: str) -> list[str]:
     """A list of distinct string tokens: a repeat is refused, never merged."""
     value = _need(data, key, list, where)
-    if set(map(type, value)) <= _STR and len(set(value)) == len(value):
+    if _known(str, value) and len(set(value)) == len(value):
         return value
     seen: set[str] = set()
     for item in value:
@@ -252,7 +342,7 @@ def _str_list(data: dict, key: str, where: str) -> list[str]:
 
 def _str_map(data: dict, key: str, where: str) -> dict[str, str]:
     value = _need(data, key, dict, where)
-    if set(map(type, value.values())) <= _STR:
+    if _known(str, value.values()):
         return value
     for k, v in value.items():
         if not isinstance(v, str):
@@ -274,55 +364,30 @@ def _rational(value: object, where: str) -> Fraction:
 
 
 def _check_keys(data: dict, allowed: set[str], where: str) -> None:
-    extra = sorted(set(data) - allowed)
+    extra = sorted(set(data) - allowed - _HEAD)
     if extra:
         raise _fail(_at(where, extra[0]), "unexpected field")
 
 
 def _decode_groupoid(data: dict, where: str = "") -> Groupoid:
-    _check_keys(
-        data,
-        {"version", "kind", "meta", "elements", "units", "range", "source", "inverse", "compose"},
-        where,
-    )
+    _check_keys(data, {"elements", "units", "range", "source", "inverse", "compose"}, where)
     elements = _str_list(data, "elements", where)
     known = set(elements)
-
-    def token(t: object, ctx: str) -> str:
-        if not isinstance(t, str):
-            raise _fail(ctx, f"non-string token: {t!r}")
-        if t not in known:
-            raise _fail(ctx, f"references unknown element: {t!r}")
-        return t
-
     units = _str_list(data, "units", where)
-    if not _known(known, units):
-        units = [token(u, _at(where, "units")) for u in units]
-    maps: dict[str, dict[str, str]] = {}
+    _refs(_at(where, "units"), [(units, known, _ELEMENT)])
+    maps = {}
     for name in ("range", "source", "inverse"):
         raw = maps[name] = _str_map(data, name, where)
-        if not (_known(known, raw) and _known(known, raw.values())):
-            ctx = _at(where, name)
-            maps[name] = {token(k, ctx): token(v, ctx) for k, v in raw.items()}
-    compose_rows = _need(data, "compose", list, where)
-    compose: dict[tuple[str, str], str] = {}
-    if _triples(compose_rows) and _known(known, chain.from_iterable(compose_rows)):
-        compose = {(x, y): z for x, y, z in compose_rows}
-    if len(compose) != len(compose_rows):
-        ctx = _at(where, "compose")
-        compose = {}
-        for row in compose_rows:
-            if not isinstance(row, list) or len(row) != 3:
-                raise _fail(ctx, f"expected [x, y, xy] triple, got {row!r}")
-            x, y, z = (token(t, ctx) for t in row)
-            if (x, y) in compose:
-                raise _fail(ctx, f"duplicate pair: [{x!r}, {y!r}]")
-            compose[(x, y)] = z
+        _refs(_at(where, name), [(raw, known, _ELEMENT), (raw.values(), known, _ELEMENT)])
+    rows = _need(data, "compose", list, where)
+    cell = ((str, "non-string token"), (known, _ELEMENT))
+    checks = [(c, k, text) for c in range(3) for k, text in cell]
+    compose = _rows(_at(where, "compose"), rows, "expected [x, y, xy] triple", checks, _pairs)
     return make_groupoid(elements, units, maps["range"], maps["source"], maps["inverse"], compose)
 
 
 def _decode_system(data: dict, where: str = "") -> FiberSystem:
-    _check_keys(data, {"version", "kind", "meta", "base", "measures"}, where)
+    _check_keys(data, {"base", "measures"}, where)
     base = _str_map(data, "base", where)
     raw = _need(data, "measures", dict, where)
     measures: dict[str, Measure] = {}
@@ -330,19 +395,13 @@ def _decode_system(data: dict, where: str = "") -> FiberSystem:
         ctx = _at(where, f"measures.{u}")
         if not isinstance(entries, dict):
             raise _fail(ctx, "expected an object of weights")
-        try:
+        with _schema(f"field {ctx!r}: "):
             measures[u] = Measure({y: _rational(v, f"{ctx}.{y}") for y, v in entries.items()})
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise _fail(ctx, str(exc)) from exc
     return fiber_system(base, measures)
 
 
 def _decode_action(data: dict, where: str = "") -> Action:
-    _check_keys(
-        data, {"version", "kind", "meta", "side", "groupoid", "carrier", "moment", "table"}, where
-    )
+    _check_keys(data, {"side", "groupoid", "carrier", "moment", "table"}, where)
     side = _need(data, "side", str, where)
     if side not in ("left", "right"):
         raise _fail(_at(where, "side"), f"expected left or right, got {side!r}")
@@ -350,113 +409,66 @@ def _decode_action(data: dict, where: str = "") -> Action:
     G = _decode_groupoid(gdata, _at(where, "groupoid"))
     carrier = _str_list(data, "carrier", where)
     points = set(carrier)
-    moment_ctx = _at(where, "moment")
-    moment = {}
-    for z, u in _str_map(data, "moment", where).items():
-        if z not in points:
-            raise _fail(moment_ctx, f"references unknown carrier point: {z!r}")
-        if u not in G.elements:
-            raise _fail(moment_ctx, f"references unknown element: {u!r}")
-        moment[z] = u
+    moment = _str_map(data, "moment", where)
+    _refs(_at(where, "moment"), [(moment, points, _POINT), (moment.values(), G.elements, _ELEMENT)])
+    # a left row reads [g, z, g.z]; a right row [z, g, z.g], stored as g^-1 acting on z
+    inv = G.inverse_map
+    acting, moving = (0, 1) if side == "left" else (1, 0)
+    checks = [(acting, G.elements, _ELEMENT), (moving, points, _POINT), (2, points, _POINT)]
+    if side == "right":
+        checks.append((acting, set(inv), "no inverse declared for acting element"))
+    build = _pairs if side == "left" else lambda rows: {(inv[g], z): w for z, g, w in rows}
     rows = _need(data, "table", list, where)
-    act: dict[tuple[str, str], str] = {}
-    if _triples(rows):
-        first, second, moved = zip(*rows) if rows else ((), (), ())
-        acting, moving = (first, second) if side == "left" else (second, first)
-        if _known(G.elements, acting) and _known(points, moving) and _known(points, moved):
-            if side == "left":
-                act = {(g, z): w for g, z, w in rows}
-            elif G.inverse_map.keys() >= set(acting):
-                inv = G.inverse_map
-                act = {(inv[g], z): w for z, g, w in rows}
-    if len(act) != len(rows):
-        ctx = _at(where, "table")
-        act = {}
-        for row in rows:
-            if not isinstance(row, list) or len(row) != 3:
-                raise _fail(ctx, f"expected a three-token row, got {row!r}")
-            a, b, c = row
-            if side == "left":
-                g, z, w = a, b, c
-            else:
-                z, g, w = a, b, c
-            if not _known(G.elements, [g]):
-                raise _fail(ctx, f"references unknown element: {g!r}")
-            if not _known(points, [z]):
-                raise _fail(ctx, f"references unknown carrier point: {z!r}")
-            if not _known(points, [w]):
-                raise _fail(ctx, f"references unknown carrier point: {w!r}")
-            if side == "right":
-                if g not in G.inverse_map:
-                    raise _fail(ctx, f"no inverse declared for acting element: {g!r}")
-                g = G.inverse_map[g]
-            if (g, z) in act:
-                raise _fail(ctx, f"duplicate pair: [{row[0]!r}, {row[1]!r}]")
-            act[(g, z)] = w
+    act = _rows(_at(where, "table"), rows, "expected a three-token row", checks, build)
     return _canon_action(G, carrier, moment, act, side)
 
 
 def _decode_equivalence(data: dict, where: str = "") -> Equivalence:
-    _check_keys(data, {"version", "kind", "meta", "left", "right"}, where)
+    _check_keys(data, {"left", "right"}, where)
     left = _decode_action(_need(data, "left", dict, where), _at(where, "left"))
     right = _decode_action(_need(data, "right", dict, where), _at(where, "right"))
-    try:
+    with _schema("equivalence shape: "):
         return Equivalence(left, right)
-    except ValueError as exc:
-        raise SchemaError(f"equivalence shape: {exc}") from exc
 
 
 def _decode_cutoff(data: dict, where: str = "") -> Cutoff:
-    _check_keys(data, {"version", "kind", "meta", "weights", "quotient"}, where)
+    _check_keys(data, {"weights", "quotient"}, where)
     raw = _need(data, "weights", dict, where)
     ctx = _at(where, "weights")
-    try:
+    with _schema(f"field {ctx!r}: "):
         weights = Measure({z: _rational(v, f"{ctx}.{z}") for z, v in raw.items()})
         return Cutoff(weights, _str_map(data, "quotient", where))
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise _fail(ctx, str(exc)) from exc
 
 
 def _decode_function(data: dict, where: str = "") -> dict[str, Fraction]:
-    _check_keys(data, {"version", "kind", "meta", "values"}, where)
+    _check_keys(data, {"values"}, where)
     raw = _need(data, "values", dict, where)
     ctx = _at(where, "values")
     return {str(x): _rational(v, f"{ctx}.{x}") for x, v in sorted(raw.items())}
 
 
 def _decode_pair(data: dict) -> Groupoid:
-    _check_keys(data, {"version", "kind", "meta", "points"}, "")
+    _check_keys(data, {"points"}, "")
     points = _str_list(data, "points", "")
-    try:
+    with _schema("pair constructor: "):
         return pair_groupoid(points)
-    except ValueError as exc:
-        raise SchemaError(f"pair constructor: {exc}") from exc
 
 
 def _decode_group(data: dict) -> Groupoid:
-    _check_keys(data, {"version", "kind", "meta", "table"}, "")
+    _check_keys(data, {"table"}, "")
     rows = _need(data, "table", list, "")
-    table: dict[tuple[str, str], str] = {}
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 3 or not all(isinstance(t, str) for t in row):
-            raise _fail("table", f"expected [a, b, ab] string triple, got {row!r}")
-        table[(row[0], row[1])] = row[2]
-    try:
+    checks = [(c, str, None) for c in range(3)]
+    table = _rows("table", rows, "expected [a, b, ab] string triple", checks, _pairs)
+    with _schema("group constructor: "):
         return group_as_groupoid(table)
-    except ValueError as exc:
-        raise SchemaError(f"group constructor: {exc}") from exc
 
 
 def _decode_relation(data: dict) -> Groupoid:
-    _check_keys(data, {"version", "kind", "meta", "map", "codomain"}, "")
+    _check_keys(data, {"map", "codomain"}, "")
     codomain = _str_list(data, "codomain", "") if "codomain" in data else None
     quotient = _str_map(data, "map", "")
-    try:
+    with _schema("relation constructor: "):
         return relation_groupoid(quotient, codomain)
-    except ValueError as exc:
-        raise SchemaError(f"relation constructor: {exc}") from exc
 
 
 _DECODERS = {
@@ -475,47 +487,32 @@ _SUGAR = {
 }
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """The object_pairs_hook of parse: a repeated key is refused, never overwritten."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen: set[str] = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise SchemaError(f"duplicate key: {key!r}")
-            seen.add(key)
-    return obj
-
-
 def parse(text: str) -> Document:
     """Parse canonical JSON text into a Document holding the live object.
 
     Constructor shorthand kinds (pair, group, relation) expand to groupoid
-    documents on load.  Tokens must be declared before use, and an object
-    may not repeat a key; algebraic axioms are deliberately not enforced here.
+    documents on load.  Tokens must be declared before use, and neither an
+    object key nor a table row's pair may repeat; meta values must be
+    strings.  Algebraic axioms are deliberately not enforced here.
 
-    Cost: json.loads, then per field one pass of C set operations over its
-    shape, its tokens and its pairs, then the constructor.  A field that fails
-    those checks is walked in order instead; that walk alone writes SchemaError
-    texts, so the first offender and its message do not depend on the fast
-    check.  On a clean pair(30) document (2.1 MiB) decoding takes about 19 ms
-    after json.loads's 9 ms, against 36-68 ms when every token was walked
-    (Python 3.11, 2-vCPU x86-64 VM).
+    Cost: json.loads, then per field C set operations over its shape and
+    each column of tokens, then the constructor.  A field that fails them
+    falls back to its reader's ordered walk (_refs or _rows), which alone
+    writes SchemaError texts, so the first offender does not depend on the
+    fast check.  On a clean pair(30) document (2.1 MiB) decoding takes about
+    19 ms after json.loads's 9 ms, against 36-68 ms when every token was
+    walked (Python 3.11, 2-vCPU x86-64 VM).
     """
-    try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise SchemaError("expected a top-level object")
     version = data.get("version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unknown version: {version!r} (expected {SCHEMA_VERSION})")
     kind = data.get("kind")
-    meta_raw = data.get("meta", {})
-    if not isinstance(meta_raw, dict):
+    if not isinstance(data.get("meta", {}), dict):
         raise _fail("meta", "expected an object")
-    meta = {str(k): str(v) for k, v in sorted(meta_raw.items())}
+    meta = dict(sorted(_str_map(data, "meta", "").items())) if "meta" in data else {}
     if kind in _SUGAR:
         return Document("groupoid", _SUGAR[kind](data), meta)
     if kind in _DECODERS:

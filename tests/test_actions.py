@@ -277,6 +277,16 @@ def test_imprimitivity_needs_freeness():
         imprimitivity_groupoid(trivial_point_action())
 
 
+def test_imprimitivity_refuses_a_valid_action_that_is_not_free_with_one_line():
+    from haarsys import full_fiber_system, imprimitivity_haar
+
+    A = trivial_point_action()
+    with pytest.raises(ValueError, match="^imprimitivity groupoid needs a free action$"):
+        imprimitivity_groupoid(A)
+    with pytest.raises(ValueError, match="^imprimitivity needs a free action$"):
+        imprimitivity_haar(A, full_fiber_system({"p": "e"}, {"p": 1}))
+
+
 def test_imprimitivity_groupoid_validates_the_groupoid():
     G = z2()
     source = {"e": "e"}  # g has lost its source

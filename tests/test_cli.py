@@ -99,6 +99,23 @@ def test_validate_repeated_object_key_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: duplicate key: 'g'\n"
 
 
+def test_validate_repeated_group_row_exits_two(tmp_path, capsys):
+    rows = [["e", "e", "e"], ["e", "g", "g"], ["g", "e", "g"], ["g", "g", "g"], ["g", "g", "e"]]
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"version": 1, "kind": "group", "table": rows}))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: field 'table': duplicate pair: ['g', 'g']\n"
+
+
+def test_validate_non_string_meta_value_exits_two(tmp_path, capsys):
+    data = json.loads(serialize(Document("groupoid", z2())))
+    data["meta"] = {"n": 3, "x": None}
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: field 'meta': non-string value for 'n': 3\n"
+
+
 def test_validate_missing_file_exits_two(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -267,6 +284,48 @@ def test_blowup_rejects_mismatched_fiber_system(tmp_path, capsys):
     code = main(["blowup", "--groupoid", g, "--map", str(fm), "--fsystem", beta])
     assert code == 1
     assert "does not match the blow-up map" in capsys.readouterr().err
+
+
+def test_blowup_refuses_a_repeated_map_key(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", z2()))
+    fm = tmp_path / "map.json"
+    fm.write_text('{"z1": "e", "z1": "e", "z2": "e"}')
+    beta = write_doc(tmp_path, "beta.json", _blow_beta())
+    assert main(["blowup", "--groupoid", g, "--map", str(fm), "--fsystem", beta]) == 2
+    assert capsys.readouterr().err == f"error: {fm}: duplicate key: 'z1'\n"
+
+
+def test_blowup_map_file_keeps_its_path_on_bad_json(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", z2()))
+    fm = tmp_path / "map.json"
+    fm.write_text('{"z1": "e",')
+    beta = write_doc(tmp_path, "beta.json", _blow_beta())
+    assert main(["blowup", "--groupoid", g, "--map", str(fm), "--fsystem", beta]) == 2
+    problem = "Expecting property name enclosed in double quotes at line 1 column 12"
+    assert capsys.readouterr().err == f"error: {fm}: invalid JSON: {problem}\n"
+
+
+def _trivial_point_action():
+    """z2 acting trivially on one point: a valid action that is not free."""
+    from haarsys import left_action
+
+    return left_action(z2(), ["p"], {"p": "e"}, {("e", "p"): "p", ("g", "p"): "p"})
+
+
+def test_imprimitivity_refuses_an_action_that_is_not_free(tmp_path, capsys):
+    a = write_doc(tmp_path, "a.json", Document("action", _trivial_point_action()))
+    assert main(["imprimitivity", "--action", a]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: imprimitivity groupoid needs a free action\n")
+
+
+def test_imprimitivity_with_system_refuses_an_action_that_is_not_free(tmp_path, capsys):
+    a = write_doc(tmp_path, "a.json", Document("action", _trivial_point_action()))
+    nu = Document("system", full_fiber_system({"p": "e"}, {"p": 1}))
+    s = write_doc(tmp_path, "s.json", nu)
+    assert main(["imprimitivity", "--action", a, "--system", s]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: imprimitivity needs a free action\n")
 
 
 def test_imprimitivity_groupoid_from_action(tmp_path, capsys):

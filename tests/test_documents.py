@@ -141,6 +141,22 @@ def test_meta_is_omitted_when_empty():
     assert '"meta"' not in serialize(Document("groupoid", z2()))
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"n": 3, "x": None}, "field 'meta': non-string value for 'n': 3"),
+        ({"a": "one", "x": None}, "field 'meta': non-string value for 'x': None"),
+        (["a"], "field 'meta': expected an object"),
+    ],
+)
+def test_meta_values_must_be_strings(meta, message):
+    data = payload(serialize(Document("groupoid", z2())))
+    data["meta"] = meta
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps(data))
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # strictness
 
@@ -368,6 +384,31 @@ def test_group_sugar_expands_a_table():
     rows = [["e", "e", "e"], ["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]]
     doc = parse(json.dumps({"version": 1, "kind": "group", "table": rows}))
     assert doc.payload == z2()
+
+
+Z2_GOOD = [["e", "e", "e"], ["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a repeat would let the last row hide the wrong product g*g = g
+        (Z2_GOOD[:3] + [["g", "g", "g"], ["g", "g", "e"]],
+         "field 'table': duplicate pair: ['g', 'g']"),
+        (Z2_GOOD[:2] + ["g"] + Z2_GOOD[3:],
+         "field 'table': expected [a, b, ab] string triple, got 'g'"),
+        (Z2_GOOD[:2] + [["g", "g"]] + Z2_GOOD[3:],
+         "field 'table': expected [a, b, ab] string triple, got ['g', 'g']"),
+        (Z2_GOOD[:2] + [["g", 5, "e"]] + Z2_GOOD[3:],
+         "field 'table': expected [a, b, ab] string triple, got ['g', 5, 'e']"),
+        (Z2_GOOD[:2] + [["g", "g", ["e"]]] + Z2_GOOD[3:],
+         "field 'table': expected [a, b, ab] string triple, got ['g', 'g', ['e']]"),
+    ],
+)
+def test_group_sugar_names_the_first_bad_row(rows, message):
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps({"version": 1, "kind": "group", "table": rows}))
+    assert str(err.value) == message
 
 
 def test_group_sugar_rejects_broken_tables():
