@@ -317,15 +317,17 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
     for (g, z), w in sorted(E.left.act.items()):
         if sigma[w] != sigma[z]:
             bad.append(Violation("right moment invariance", (f"g={g}", f"z={z}")))
-    for (h, z), w in sorted(E.right.act.items()):
+    # the right table is stored as (inv(h), z) -> z.h, so the witness inverts the stored key
+    hinv = E.right.groupoid.inverse_map.get
+    for (k, z), w in sorted(E.right.act.items()):
         if rho[w] != rho[z]:
-            bad.append(Violation("left moment invariance", (f"h={h}", f"z={z}")))
+            bad.append(Violation("left moment invariance", (f"h={hinv(k, k)}", f"z={z}")))
     if bad:
         return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
 
     # H is not validated here: a side left undefined by a bad inverse does not commute
     hr = E.right.groupoid.range_fibers()
-    hinv, left, right = E.right.groupoid.inverse_map.get, E.left.act.get, E.right.act.get
+    left, right = E.left.act.get, E.right.act.get
     for (g, z), gz in sorted(E.left.act.items()):
         for h in hr.get(sigma[z], ()):
             lhs = right((hinv(h), gz))
@@ -378,7 +380,8 @@ def imprimitivity_groupoid(A: Action) -> tuple[Groupoid, dict[tuple[str, str], s
     validate_action(A).require("invalid action")
     if not is_free(A):
         raise ValueError("imprimitivity groupoid needs a free action")
-    return _imprimitivity(A)
+    imp, labeling, _ = _imprimitivity(A, _orbit_reps(A))
+    return imp, labeling
 
 
 def _translators(A: Action) -> dict[tuple[str, str], str]:
@@ -386,10 +389,11 @@ def _translators(A: Action) -> dict[tuple[str, str], str]:
     return {(z, w): g for (g, z), w in A.act.items()}
 
 
-def _imprimitivity(A: Action) -> tuple[Groupoid, dict[tuple[str, str], str]]:
-    """imprimitivity_groupoid of an action already known to be valid and free."""
+def _imprimitivity(
+    A: Action, orbit: dict[str, str]
+) -> tuple[Groupoid, dict[tuple[str, str], str], dict[str, tuple[str, str]]]:
+    """imprimitivity_groupoid of a valid free action, given its orbit map, and class -> least pair."""
     act = A.act
-    orbit = _orbit_reps(A)
     translator = _translators(A)
     pairs = sorted((x, y) for zs in A.moment_fibers().values() for x in zs for y in zs)
 
@@ -412,7 +416,7 @@ def _imprimitivity(A: Action) -> tuple[Groupoid, dict[tuple[str, str], str]]:
             compose[(c1, c2)] = labeling[(x, act[(translator[(w, y)], z)])]
 
     imp = make_groupoid(class_rep, range_map.values(), range_map, source_map, inverse_map, compose)
-    return imp, labeling
+    return imp, labeling, class_rep
 
 
 def imprimitivity_iso(
@@ -431,22 +435,21 @@ def imprimitivity_iso(
         # an invalid left action keeps the message imprimitivity_groupoid gives it
         validate_action(E.left).require("invalid action")
         report.require("invalid equivalence")
-    imp, labeling = _imprimitivity(E.left)
-    return imp, labeling, _class_translation(E, imp, labeling)
+    imp, labeling, class_rep = _imprimitivity(E.left, _orbit_reps(E.left))
+    return imp, labeling, _class_translation(E, imp, class_rep)
 
 
 def _class_translation(
-    E: Equivalence, imp: Groupoid, labeling: dict[tuple[str, str], str]
+    E: Equivalence, imp: Groupoid, class_rep: dict[str, tuple[str, str]]
 ) -> dict[str, str]:
     """The iso of imprimitivity_iso, for a checked equivalence and its imprimitivity groupoid.
 
-    The class of (x, y) goes to the unique h with x.h == y: the right table
-    is stored as (inv(h), z) -> z.h, so h inverts the right action's
-    translator of (x, y).  O(|act| + pairs + composable pairs of classes).
+    The class with least pair (x, y) goes to the unique h with x.h == y: the
+    right table is stored as (inv(h), z) -> z.h, so h inverts the right
+    action's translator of (x, y).  O(|act| + composable pairs of classes).
     """
     H = E.right.groupoid
     translator = _translators(E.right)
-    class_rep = {c: pairs[0] for c, pairs in _fibers(sorted(labeling), labeling.get).items()}
     iso = {c: H.inverse_map[translator[class_rep[c]]] for c in imp.sorted_elements()}
 
     if sorted(iso.values()) != H.sorted_elements():

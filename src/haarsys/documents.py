@@ -204,7 +204,12 @@ def serialize(doc: Document) -> str:
     body = {"version": SCHEMA_VERSION, "kind": doc.kind}
     body.update(_ENCODERS[doc.kind](doc.payload))
     if doc.meta:
-        body["meta"] = {str(k): str(v) for k, v in sorted(doc.meta.items())}
+        for k, v in doc.meta.items():  # parse refuses the same meta, so the text round-trips
+            if not isinstance(k, str):
+                raise _fail("meta", f"non-string key: {k!r}")
+            if not isinstance(v, str):
+                raise _fail("meta", f"non-string value for {k!r}: {v!r}")
+        body["meta"] = dict(sorted(doc.meta.items()))
     return _emit(body, "") + "\n"
 
 

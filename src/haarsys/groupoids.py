@@ -88,12 +88,6 @@ class Groupoid:
     inverse_map: dict[str, str]
     compose_map: dict[tuple[str, str], str]
 
-    def r(self, x: str) -> str:
-        return self.range_map[x]
-
-    def s(self, x: str) -> str:
-        return self.source_map[x]
-
     def inv(self, x: str) -> str:
         return self.inverse_map[x]
 

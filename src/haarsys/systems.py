@@ -79,17 +79,6 @@ class Measure:
     def items(self) -> list[tuple[str, Fraction]]:
         return list(self.weights.items())
 
-    def total(self) -> Fraction:
-        return sum(self.weights.values(), ZERO)
-
-    def scaled(self, c: Rational) -> "Measure":
-        factor = as_fraction(c, "scale factor")
-        return Measure({k: v * factor for k, v in self.weights.items()})
-
-    def plus(self, other: "Measure") -> "Measure":
-        keys = set(self.weights) | set(other.weights)
-        return Measure({k: self.weight(k) + other.weight(k) for k in keys})
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Measure) and self.weights == other.weights
 
@@ -115,9 +104,6 @@ class FiberSystem:
 
     def codomain(self) -> list[str]:
         return sorted(set(self.base_map.values()) | set(self.measures))
-
-    def fiber(self, x: str) -> list[str]:
-        return sorted(y for y, b in self.base_map.items() if b == x)
 
     def measure(self, x: str) -> Measure:
         return self.measures[x] if x in self.measures else Measure()

@@ -148,7 +148,7 @@ def psi_phi(
     if beta.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
     validate_action(A).require("invalid action")
-    _require_cutoff_matches(phi, A, "averaging weight")
+    _require_cutoff_matches(phi, _orbit_reps(A), "averaging weight")
     values = {str(z): as_fraction(v, f"f({z})") for z, v in f.items()}
     G = A.groupoid
     out = {g: ZERO for g in G.sorted_elements()}
@@ -157,11 +157,11 @@ def psi_phi(
     return out
 
 
-def _require_cutoff_matches(phi: Cutoff, A: Action, context: str) -> None:
-    """Check phi's quotient against the orbits of A, a valid action."""
-    if set(phi.quotient_map) != set(A.carrier):
+def _require_cutoff_matches(phi: Cutoff, orbit: dict[str, str], context: str) -> None:
+    """Check phi's quotient against a valid action's orbit map, which is its own _partition_reps."""
+    if set(phi.quotient_map) != set(orbit):
         raise ValueError(f"{context}: cut-off quotient domain differs from the carrier")
-    if _partition_reps(phi.quotient_map) != _partition_reps(_orbit_reps(A)):
+    if _partition_reps(phi.quotient_map) != orbit:
         raise ValueError(f"{context}: cut-off quotient does not induce the orbit partition")
 
 
@@ -189,7 +189,7 @@ def average_system(
     if beta.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
     check_system(beta).require("not a full system")
-    _require_cutoff_matches(phi, A, "averaging weight")
+    _require_cutoff_matches(phi, _orbit_reps(A), "averaging weight")
     return _average(lam, A, beta, phi)
 
 
@@ -252,7 +252,7 @@ def principal_haar(G: Groupoid, beta: FiberSystem) -> HaarSystem:
     orbit = unit_orbit_map(G)
     if sorted(beta.base_map) != G.sorted_units():
         raise ValueError("base map must be defined on exactly the units")
-    if _partition_reps(beta.base_map) != _partition_reps(orbit):
+    if _partition_reps(beta.base_map) != orbit:
         raise ValueError("base map does not induce the unit orbit partition")
     check_system(beta).require("not a full system")
 
@@ -294,9 +294,10 @@ def imprimitivity_haar(A: Action, nu: FiberSystem) -> HaarSystem:
     """Haar system on the imprimitivity groupoid from a full equivariant system.
 
     The weight of the class of (y, x) in the range fiber of the class of
-    (y, y) is the nu-weight of x at the shared moment.  Well-definedness is
-    not taken on faith: the candidate weight is recomputed from every
-    representative pair and any disagreement is an error.
+    (y, y) is the nu-weight of x at the shared moment.  It does not depend
+    on the pair: a valid action has moment(g.y) = r(g), and an equivariant
+    nu has nu^{r(g)}(g.x) = nu^{s(g)}(x), so every pair (g.y, g.x) of the
+    class weighs the same; it is read off the class's least pair.
     """
     validate_groupoid(A.groupoid).require("invalid groupoid")
     validate_action(A).require("invalid action")
@@ -306,29 +307,20 @@ def imprimitivity_haar(A: Action, nu: FiberSystem) -> HaarSystem:
         raise ValueError("base map mismatch: expected the moment map of the action")
     check_system(nu).require("not a full system")
     check_equivariant(A, nu).require("not equivariant")
-    return _induce(A, nu, *_imprimitivity(A))
+    imp, _, class_rep = _imprimitivity(A, _orbit_reps(A))
+    return _induce(A, nu, imp, class_rep)
 
 
 def _induce(
-    A: Action, nu: FiberSystem, imp: Groupoid, labeling: dict[tuple[str, str], str]
+    A: Action, nu: FiberSystem, imp: Groupoid, class_rep: dict[str, tuple[str, str]]
 ) -> HaarSystem:
-    """imprimitivity_haar on checked inputs, given the imprimitivity groupoid of A."""
-    candidate: dict[str, tuple[Fraction, tuple[str, str]]] = {}
-    for (y, x), c in sorted(labeling.items()):
-        value = nu.weight(A.moment[y], x)
-        if c in candidate:
-            seen, first = candidate[c]
-            if seen != value:
-                raise ValueError(
-                    f"representative dependence: class {c} weighs {seen} from {first} "
-                    f"but {value} from {(y, x)}"
-                )
-        else:
-            candidate[c] = (value, (y, x))
+    """imprimitivity_haar on checked inputs, given the imprimitivity groupoid of A and its least pairs.
 
-    measures = {
-        u: Measure({c: candidate[c][0] for c in fiber}) for u, fiber in imp.range_fibers().items()
-    }
+    Equivariance makes every pair of a class weigh the same, so the least pair
+    (y, x) gives the class its weight nu^{moment(y)}(x).
+    """
+    weight = {c: nu.weight(A.moment[y], x) for c, (y, x) in class_rep.items()}
+    measures = {u: Measure({c: weight[c] for c in fiber}) for u, fiber in imp.range_fibers().items()}
     return make_haar(imp, fiber_system(imp.range_map, measures), "imprimitivity system")
 
 
@@ -377,14 +369,15 @@ def transfer_haar(
             raise ValueError("base map mismatch: expected the left moment map")
         check_system(beta).require("not a full system")
         stage = "phi"
-        phi = representative_cutoff(_orbit_reps(E.left)) if phi is None else phi
-        _require_cutoff_matches(phi, E.left, "cut-off")
+        orbit = _orbit_reps(E.left)
+        phi = representative_cutoff(orbit) if phi is None else phi
+        _require_cutoff_matches(phi, orbit, "cut-off")
         stage = "average"
         nu = _average(lam, E.left, beta, phi)
         stage = "imprimitivity"
-        imp, labeling = _imprimitivity(E.left)
-        induced = _induce(E.left, nu, imp, labeling)
-        iso = _class_translation(E, imp, labeling)
+        imp, _, class_rep = _imprimitivity(E.left, orbit)
+        induced = _induce(E.left, nu, imp, class_rep)
+        iso = _class_translation(E, imp, class_rep)
         stage = "induction"
         H = E.right.groupoid
         measures = {

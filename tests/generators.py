@@ -208,18 +208,18 @@ def corrupt_associativity(G: Groupoid, rng: random.Random) -> Groupoid | None:
     """
     hom: dict[tuple[str, str], list[str]] = {}
     for a in G.sorted_elements():
-        hom.setdefault((G.r(a), G.s(a)), []).append(a)
+        hom.setdefault((G.range_map[a], G.source_map[a]), []).append(a)
     pairs = [
         (x, y)
         for (x, y), xy in sorted(G.compose_map.items())
         if x not in G.units and y not in G.units and y != G.inv(x)
-        and len(hom[(G.r(xy), G.s(xy))]) > 1
+        and len(hom[(G.range_map[xy], G.source_map[xy])]) > 1
     ]
     if not pairs:
         return None
     key = rng.choice(pairs)
     cm = dict(G.compose_map)
-    cm[key] = rng.choice([z for z in hom[(G.r(cm[key]), G.s(cm[key]))] if z != cm[key]])
+    cm[key] = rng.choice([z for z in hom[(G.range_map[cm[key]], G.source_map[cm[key]])] if z != cm[key]])
     return make_groupoid(G.elements, G.units, G.range_map, G.source_map, G.inverse_map, cm)
 
 

@@ -220,6 +220,50 @@ def test_broken_right_groupoid_is_reported_not_raised(inverse):
     assert [v.render() for v in report.violations] == expected
 
 
+def pair2_points_action():
+    """pair(2) acting from the right on z1, z2 with z1.pair:1,2 = z2."""
+    a12, a21, u1, u2 = (pair_arrow(*ij) for ij in ("12", "21", "11", "22"))
+    table = {("z1", u1): "z1", ("z1", a12): "z2", ("z2", a21): "z1", ("z2", u2): "z2"}
+    return right_action(pair2(), ["z1", "z2"], {"z1": u1, "z2": u2}, table)
+
+
+def test_left_moment_invariance_names_the_acting_element():
+    # the right table is stored keyed by the inverse; the witness is the element itself
+    ident = {"a": "a", "b": "b"}
+    units = make_groupoid(ident, ident, ident, ident, ident, {("a", "a"): "a", ("b", "b"): "b"})
+    table = {("a", "z1"): "z1", ("b", "z2"): "z2"}
+    still = left_action(units, ["z1", "z2"], {"z1": "a", "z2": "b"}, table)
+    report = validate_equivalence(Equivalence(still, pair2_points_action()))
+    assert [v.render() for v in report.violations] == [
+        "violation left moment invariance: h=pair:2,1 z=z2",
+        "violation left moment invariance: h=pair:1,2 z=z1",
+    ]
+
+
+def test_right_moment_invariance_is_reported():
+    report = validate_equivalence(Equivalence(swap_action(), pair2_points_action()))
+    assert [v.render() for v in report.violations] == [
+        "violation right moment invariance: g=g z=z1",
+        "violation right moment invariance: g=g z=z2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, first",
+    [
+        ({"moment": {"z1": "g", "z2": "e"}}, "violation moment not a unit: z=z1 value=g"),
+        ({"moment": {"z1": "e", "z2": "e", "z3": "e"}}, "violation moment key off carrier: z=z3"),
+        (
+            {"act": {("e", "z1"): "z2", ("e", "z2"): "z2", ("g", "z1"): "z2", ("g", "z2"): "z1"}},
+            "violation unit acts trivially: z=z1 u.z=z2",
+        ),
+    ],
+)
+def test_action_validator_reports_moment_and_unit_laws(change, first):
+    report = validate_action(replace(swap_action(), **change))
+    assert report.violations[0].render() == first
+
+
 def test_opposite_equivalence_swaps_sides_and_involutes():
     E = rect32()
     F = opposite_equivalence(E)
@@ -240,6 +284,10 @@ def test_equivalence_shape_errors():
     A = swap_action()
     with pytest.raises(ValueError):
         Equivalence(A, A)
+    with pytest.raises(ValueError, match="^left component must be a left action$"):
+        Equivalence(opposite(A), opposite(A))
+    with pytest.raises(ValueError, match="^both actions must share one carrier$"):
+        Equivalence(A, rect32().right)
 
 
 # ---------------------------------------------------------------------------

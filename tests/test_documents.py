@@ -157,6 +157,20 @@ def test_meta_values_must_be_strings(meta, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"n": 3}, "field 'meta': non-string value for 'n': 3"),
+        ({"a": "one", "x": None}, "field 'meta': non-string value for 'x': None"),
+        ({3: "n"}, "field 'meta': non-string key: 3"),
+    ],
+)
+def test_serialize_refuses_meta_that_parse_refuses(meta, message):
+    with pytest.raises(SchemaError) as err:
+        serialize(Document("groupoid", z2(), meta))
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # strictness
 

@@ -74,8 +74,8 @@ def test_pair_arrow_structure():
     y = pair_arrow("2", "3")
     assert G.mul(x, y) == pair_arrow("1", "3")
     assert G.inv(x) == pair_arrow("2", "1")
-    assert G.r(x) == pair_arrow("1", "1")
-    assert G.s(x) == pair_arrow("2", "2")
+    assert G.range_map[x] == pair_arrow("1", "1")
+    assert G.source_map[x] == pair_arrow("2", "2")
 
 
 def test_composition_off_domain_is_hard_error():
@@ -119,6 +119,30 @@ def test_validator_catches_nonunit_range():
     ranges[pair_arrow("1", "2")] = pair_arrow("2", "1")
     bad = make_groupoid(G.elements, G.units, ranges, G.source_map, G.inverse_map, G.compose_map)
     assert "range not a unit" in laws(validate_groupoid(bad))
+
+
+A12, A21, U1 = pair_arrow("1", "2"), pair_arrow("2", "1"), pair_arrow("1", "1")
+
+
+@pytest.mark.parametrize(
+    "table, entries, first",
+    [
+        ("range_map", {"zz": U1}, "violation range key unknown: x=zz"),
+        ("source_map", {"zz": U1}, "violation source key unknown: x=zz"),
+        ("inverse_map", {"zz": U1}, "violation inverse key unknown: x=zz"),
+        ("range_map", {A12: "zz"}, f"violation range value unknown: x={A12} value=zz"),
+        ("source_map", {A12: "zz"}, f"violation source value unknown: x={A12} value=zz"),
+        ("inverse_map", {A12: "zz"}, f"violation inverse value unknown: x={A12} value=zz"),
+        ("units", {"zz"}, "violation unit unknown: u=zz"),
+        ("source_map", {A12: A21}, f"violation source not a unit: x={A12} s(x)={A21}"),
+        ("compose_map", {("zz", U1): U1}, f"violation compose key unknown: x=zz y={U1}"),
+        ("compose_map", {(U1, A12): "zz"}, f"violation compose value unknown: x={U1} y={A12} value=zz"),
+    ],
+)
+def test_validator_names_unknown_tokens_and_stray_sources(table, entries, first):
+    G = pair2()
+    report = validate_groupoid(replace(G, **{table: getattr(G, table) | entries}))
+    assert report.violations[0].render() == first
 
 
 def test_random_groupoids_validate():
@@ -364,8 +388,8 @@ def test_transformation_swap():
     assert len(G.units) == 2
     assert validate_groupoid(G).passed
     x = transformation_arrow("g", "z1")
-    assert G.r(x) == transformation_arrow("e", "z2")
-    assert G.s(x) == transformation_arrow("e", "z1")
+    assert G.range_map[x] == transformation_arrow("e", "z2")
+    assert G.source_map[x] == transformation_arrow("e", "z1")
 
 
 def test_transformation_trivial_action_is_the_group_again():
@@ -493,8 +517,8 @@ def test_blow_up_of_group_along_constant_map():
     assert len(G.units) == 2
     assert validate_groupoid(G).passed
     x = blowup_arrow("z1", "g", "z2")
-    assert G.r(x) == blowup_arrow("z1", "e", "z1")
-    assert G.s(x) == blowup_arrow("z2", "e", "z2")
+    assert G.range_map[x] == blowup_arrow("z1", "e", "z1")
+    assert G.source_map[x] == blowup_arrow("z2", "e", "z2")
 
 
 def test_blow_up_along_identity_is_the_same_groupoid():
