@@ -18,7 +18,7 @@ from .groupoids import (
     Violation,
     _edge_components,
     _fibers,
-    make_groupoid,
+    _pullback,
     validate_groupoid,
 )
 
@@ -70,9 +70,6 @@ class Action:
     def apply_right(self, z: str, g: str) -> str:
         """The right-sided reading z.g of the stored table."""
         return self.apply(self.groupoid.inv(g), z)
-
-    def moment_fibers(self) -> dict[str, list[str]]:
-        return _fibers(self.sorted_carrier(), lambda z: self.moment.get(z, ""))
 
 
 def _canon_action(groupoid: Groupoid, carrier, moment, act, side: str) -> Action:
@@ -370,53 +367,40 @@ def imprimitivity_groupoid(A: Action) -> tuple[Groupoid, dict[tuple[str, str], s
     groupoid together with the map sending each pair to its class token;
     tokens name the least pair in each orbit.
 
-    Freeness makes both steps lookups in the translator index (z, g.z) -> g.
-    The least pair of the class of (x, y) is (x0, g.y), where x0 is the least
-    point of the orbit of x and g is the translator of (x, x0); the product
-    [x, y][w, z] is [x, t.z], where t is the translator of (w, y).  Cost:
-    O(|act| + pairs + composable pairs of classes), plus sorting the pairs.
+    Freeness makes this the blow-up (groupoids._pullback) of G along the
+    moment map on the orbit representatives: each class is [x0, g.y0] for one
+    triple (x0, g, y0), and (x0, g.y0) is its least pair.  Colliding tokens
+    raise ValueError.  O(|act| + composable pairs of classes + pairs log pairs).
     """
     validate_groupoid(A.groupoid).require("invalid groupoid")
     validate_action(A).require("invalid action")
     if not is_free(A):
         raise ValueError("imprimitivity groupoid needs a free action")
-    imp, labeling, _ = _imprimitivity(A, _orbit_reps(A))
-    return imp, labeling
+    imp, class_rep = _imprimitivity(A, _orbit_reps(A))
+    return imp, _labeling(A, class_rep)
 
 
-def _translators(A: Action) -> dict[tuple[str, str], str]:
-    """The map (z, g.z) -> g of a free action, where freeness makes g unique: O(|act|)."""
-    return {(z, w): g for (g, z), w in A.act.items()}
+def _imprimitivity(A: Action, orbit: dict[str, str]) -> tuple[Groupoid, dict[str, tuple[str, str]]]:
+    """imprimitivity_groupoid of a valid free action, given its orbit map, and class -> least pair.
 
-
-def _imprimitivity(
-    A: Action, orbit: dict[str, str]
-) -> tuple[Groupoid, dict[tuple[str, str], str], dict[str, tuple[str, str]]]:
-    """imprimitivity_groupoid of a valid free action, given its orbit map, and class -> least pair."""
+    The pullback of G along the moment map on the representatives; the triple
+    (x0, g, y0) is the class whose least pair is (x0, g.y0).
+    """
     act = A.act
-    translator = _translators(A)
-    pairs = sorted((x, y) for zs in A.moment_fibers().values() for x in zs for y in zs)
+    imp, tok = _pullback(
+        A.groupoid,
+        {x0: A.moment[x0] for x0 in set(orbit.values())},
+        lambda x, g, y: _pair_token(x, act[(g, y)]),
+        "tokens collide under imprimitivity naming",
+    )
+    return imp, {c: (x, act[(g, y)]) for (x, g, y), c in tok.items()}
 
-    labeling = {}
-    class_rep = {}
-    for x, y in pairs:
-        x0 = orbit[x]
-        rep = (x0, act[(translator[(x, x0)], y)])
-        labeling[(x, y)] = c = _pair_token(*rep)
-        class_rep[c] = rep
-    range_map = {c: labeling[(x, x)] for c, (x, _) in class_rep.items()}
-    source_map = {c: labeling[(y, y)] for c, (_, y) in class_rep.items()}
-    inverse_map = {c: labeling[(y, x)] for c, (x, y) in class_rep.items()}
 
-    by_range = _fibers(class_rep, range_map.get)
-    compose = {}
-    for c1, (x, y) in class_rep.items():
-        for c2 in by_range[source_map[c1]]:
-            w, z = class_rep[c2]
-            compose[(c1, c2)] = labeling[(x, act[(translator[(w, y)], z)])]
-
-    imp = make_groupoid(class_rep, range_map.values(), range_map, source_map, inverse_map, compose)
-    return imp, labeling, class_rep
+def _labeling(A: Action, class_rep: dict[str, tuple[str, str]]) -> dict[tuple[str, str], str]:
+    """Each equal-moment pair, in order, with its class: [x0, z] holds (g.x0, g.z) for s(g) = moment(x0)."""
+    act, sfib = A.act, _fibers(A.groupoid.sorted_elements(), A.groupoid.source_map.get)
+    pairs = (((act[(g, x)], act[(g, z)]), c) for c, (x, z) in class_rep.items() for g in sfib[A.moment[x]])
+    return dict(sorted(pairs))
 
 
 def imprimitivity_iso(
@@ -435,8 +419,13 @@ def imprimitivity_iso(
         # an invalid left action keeps the message imprimitivity_groupoid gives it
         validate_action(E.left).require("invalid action")
         report.require("invalid equivalence")
-    imp, labeling, class_rep = _imprimitivity(E.left, _orbit_reps(E.left))
-    return imp, labeling, _class_translation(E, imp, class_rep)
+    imp, class_rep = _imprimitivity(E.left, _orbit_reps(E.left))
+    return imp, _labeling(E.left, class_rep), _class_translation(E, imp, class_rep)
+
+
+def _translators(A: Action) -> dict[tuple[str, str], str]:
+    """The map (z, g.z) -> g of a free action, where freeness makes g unique: O(|act|)."""
+    return {(z, w): g for (g, z), w in A.act.items()}
 
 
 def _class_translation(

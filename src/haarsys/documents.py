@@ -52,7 +52,7 @@ KINDS = ("groupoid", "system", "action", "equivalence", "cutoff", "function")
 
 SUGAR_KINDS = ("pair", "group", "relation")
 
-_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 _STR, _LIST = {str}, {list}
 
@@ -362,7 +362,7 @@ def _rational(value: object, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise _fail(where, "decimal numbers are not exact; write the rational as a \"p/q\" string")
-    if isinstance(value, str) and _RATIONAL.match(value):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         p, _, q = value.partition("/")
         return Fraction(int(p), int(q or 1))
     raise _fail(where, f"not a rational \"p/q\" string: {value!r}")
@@ -512,7 +512,7 @@ def parse(text: str) -> Document:
     if not isinstance(data, dict):
         raise SchemaError("expected a top-level object")
     version = data.get("version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"unknown version: {version!r} (expected {SCHEMA_VERSION})")
     kind = data.get("kind")
     if not isinstance(data.get("meta", {}), dict):

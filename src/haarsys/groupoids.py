@@ -569,6 +569,8 @@ def _pullback(
     """The triples (z, g, w) with f(z) = r(g) and s(g) = f(w) as a groupoid, and their tokens.
 
     f maps a new unit space into G's units; (z, g, w)(w, g', v) = (z, gg', v).
+    It builds pair_groupoid, relation_groupoid, blow_up and the imprimitivity
+    groupoid of a free action (actions._imprimitivity).
     name(z, g, w) formats each triple's token once; tokens must not collide
     (else ValueError(collision)).  G is not validated: an inverse or product
     that is not a triple is still named, and a missing entry raises blow_up's

@@ -307,7 +307,7 @@ def imprimitivity_haar(A: Action, nu: FiberSystem) -> HaarSystem:
         raise ValueError("base map mismatch: expected the moment map of the action")
     check_system(nu).require("not a full system")
     check_equivariant(A, nu).require("not equivariant")
-    imp, _, class_rep = _imprimitivity(A, _orbit_reps(A))
+    imp, class_rep = _imprimitivity(A, _orbit_reps(A))
     return _induce(A, nu, imp, class_rep)
 
 
@@ -375,7 +375,7 @@ def transfer_haar(
         stage = "average"
         nu = _average(lam, E.left, beta, phi)
         stage = "imprimitivity"
-        imp, _, class_rep = _imprimitivity(E.left, orbit)
+        imp, class_rep = _imprimitivity(E.left, orbit)
         induced = _induce(E.left, nu, imp, class_rep)
         iso = _class_translation(E, imp, class_rep)
         stage = "induction"

@@ -27,6 +27,7 @@ from haarsys import (
     make_groupoid,
     make_haar,
     orbit_space,
+    pair_arrow,
     pair_groupoid,
     relation_arrow,
     relation_groupoid,
@@ -435,6 +436,20 @@ def random_equivalence(
         E = self_equivalence(G)
         lam = scaled_counting_haar(G, rng)
     return family, G, lam, E
+
+
+def colliding_tokens_equivalence() -> Equivalence:
+    """The trivial group linked to pair({a, a|b, b|c, c}) through the four points.
+
+    A valid equivalence whose left action is free, yet the imprimitivity
+    classes of (a, b|c) and (a|b, c) would both be named imp:a|b|c.
+    """
+    pts = ["a", "a|b", "b|c", "c"]
+    trivial = group_as_groupoid({("e", "e"): "e"})
+    left = left_action(trivial, pts, dict.fromkeys(pts, "e"), {("e", z): z for z in pts})
+    ract = {(z, pair_arrow(z, w)): w for z in pts for w in pts}
+    right = right_action(pair_groupoid(pts), pts, {z: pair_arrow(z, z) for z in pts}, ract)
+    return Equivalence(left, right)
 
 
 # ---------------------------------------------------------------------------

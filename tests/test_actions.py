@@ -335,6 +335,13 @@ def test_imprimitivity_refuses_a_valid_action_that_is_not_free_with_one_line():
         imprimitivity_haar(A, full_fiber_system({"p": "e"}, {"p": 1}))
 
 
+def test_imprimitivity_groupoid_refuses_colliding_class_tokens():
+    E = gen.colliding_tokens_equivalence()
+    assert validate_equivalence(E).passed and is_free(E.left)
+    with pytest.raises(ValueError, match="^tokens collide under imprimitivity naming$"):
+        imprimitivity_groupoid(E.left)
+
+
 def test_imprimitivity_groupoid_validates_the_groupoid():
     G = z2()
     source = {"e": "e"}  # g has lost its source

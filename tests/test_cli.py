@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from generators import colliding_tokens_equivalence
 from haarsys import (
     Action,
     Document,
@@ -326,6 +327,13 @@ def test_imprimitivity_with_system_refuses_an_action_that_is_not_free(tmp_path, 
     assert main(["imprimitivity", "--action", a, "--system", s]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: imprimitivity needs a free action\n")
+
+
+def test_imprimitivity_refuses_colliding_class_tokens_with_one_line(tmp_path, capsys):
+    a = write_doc(tmp_path, "a.json", Document("action", colliding_tokens_equivalence().left))
+    assert main(["imprimitivity", "--action", a]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: tokens collide under imprimitivity naming\n")
 
 
 def test_imprimitivity_groupoid_from_action(tmp_path, capsys):

@@ -186,6 +186,13 @@ def test_rejects_wrong_version():
     assert SCHEMA_VERSION == 1
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_rejects_a_version_equal_to_one_that_is_not_the_integer(version):
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps({"version": version, "kind": "function", "values": {}}))
+    assert str(err.value) == f"unknown version: {version!r} (expected 1)"
+
+
 def test_rejects_unknown_kind():
     with pytest.raises(SchemaError, match="unknown document kind"):
         parse(json.dumps({"version": 1, "kind": "spectrum"}))
@@ -206,6 +213,14 @@ def test_rejects_boolean_weights():
     text = json.dumps({"version": 1, "kind": "function", "values": {"e": True}})
     with pytest.raises(SchemaError, match="not a rational"):
         parse(text)
+
+
+@pytest.mark.parametrize("weight", ["1\n", "\u0663/2"])
+def test_rejects_rational_strings_beyond_ascii_digits(weight):
+    text = json.dumps({"version": 1, "kind": "function", "values": {"e": weight}})
+    with pytest.raises(SchemaError) as err:
+        parse(text)
+    assert str(err.value) == f"field 'values.e': not a rational \"p/q\" string: {weight!r}"
 
 
 def test_accepts_integer_weights():

@@ -534,6 +534,15 @@ def test_transfer_stage_errors_name_their_stage():
     assert err.value.stage == "beta"
 
 
+def test_transfer_refuses_colliding_class_tokens_at_the_imprimitivity_stage():
+    E = gen.colliding_tokens_equivalence()
+    G = E.left.groupoid
+    with pytest.raises(PipelineError) as err:
+        transfer_haar(G, counting_haar(G), E)
+    assert err.value.stage == "imprimitivity"
+    assert str(err.value) == "[stage: imprimitivity] tokens collide under imprimitivity naming"
+
+
 # ---------------------------------------------------------------------------
 # validator budget: each input is checked once, at the public boundary
 
@@ -544,6 +553,8 @@ TRANSFER_BUDGET = {
     (groupoids, "make_groupoid"): 1,  # the imprimitivity groupoid, built once
     (actions, "orbit_space"): 0,
     (actions, "_orbit_reps"): 3,  # once per side in validate_equivalence, once for the cut-off and imp
+    (actions, "_translators"): 1,  # the right action's, for the class translation
+    (groupoids, "_pullback"): 1,  # the imprimitivity groupoid
 }
 
 
