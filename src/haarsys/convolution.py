@@ -207,8 +207,8 @@ def associativity_oracle(
         raise ValueError(f"associativity oracle: trials must be at least 1, got {trials}")
     sys = _bind(G, lam, "associativity oracle")
     rfib = G.range_fibers()
-    for u in G.sorted_units():
-        fiber = set(rfib.get(u, ()))
+    for u in sorted(G.units | set(sys.measures)):  # a measure keyed off the units has an empty fiber
+        fiber = set(rfib.get(u, ())) if u in G.units else set()
         for y in sys.measure(u).support:
             if y not in fiber:
                 raise ValueError(f"family supported off its range fiber: unit={u} element={y}")

@@ -211,9 +211,9 @@ def check_haar(G: Groupoid, system: FiberSystem | HaarSystem) -> ValidationRepor
         raise ValueError("base map mismatch: expected the range map of the groupoid")
     bad: list[Violation] = []
     rfib = G.range_fibers()
-    for u in G.sorted_units():
+    for u in sorted(G.units | set(sys.measures)):  # a measure keyed off the units has an empty fiber
         m = sys.measure(u)
-        fiber = set(rfib.get(u, ()))
+        fiber = set(rfib.get(u, ())) if u in G.units else set()
         for y in m.support:
             if y not in fiber:
                 bad.append(Violation("support containment", (f"unit={u}", f"arrow={y}")))

@@ -212,8 +212,9 @@ def invariant_measure(A: Action, beta: Measure, phi: Cutoff) -> Measure:
     """A strictly positive invariant measure for a group action.
 
     Averages beta (full support demanded) through the counting Haar system
-    of the one-unit actor; invariance and full support of the result are
-    verified pointwise before returning.
+    of the one-unit actor.  average_system certifies its result full and
+    equivariant, which for a one-unit actor is exactly full support on the
+    carrier and invariance, so the measure at the unit is returned as is.
     """
     G = A.groupoid
     if len(G.units) != 1:
@@ -226,16 +227,8 @@ def invariant_measure(A: Action, beta: Measure, phi: Cutoff) -> Measure:
     if stray:
         raise ValueError(f"reference measure supported off the carrier: {', '.join(stray)}")
 
-    lam = counting_haar(G)
-    beta_sys = fiber_system(A.moment, {unit: beta})
-    nu = average_system(lam, A, beta_sys, phi)
-    result = nu.measure(unit)
-    for (g, z), w in sorted(A.act.items()):
-        if result.weight(w) != result.weight(z):
-            raise RuntimeError(f"internal: averaged measure not invariant at g={g} z={z}")
-    if set(result.support) != set(A.carrier):
-        raise RuntimeError("internal: averaged measure lost full support")
-    return result
+    nu = average_system(counting_haar(G), A, fiber_system(A.moment, {unit: beta}), phi)
+    return nu.measure(unit)
 
 
 def principal_haar(G: Groupoid, beta: FiberSystem) -> HaarSystem:
@@ -308,20 +301,21 @@ def imprimitivity_haar(A: Action, nu: FiberSystem) -> HaarSystem:
     check_system(nu).require("not a full system")
     check_equivariant(A, nu).require("not equivariant")
     imp, class_rep = _imprimitivity(A, _orbit_reps(A))
-    return _induce(A, nu, imp, class_rep)
+    return make_haar(imp, _induce(A, nu, imp, class_rep), "imprimitivity system")
 
 
 def _induce(
-    A: Action, nu: FiberSystem, imp: Groupoid, class_rep: dict[str, tuple[str, str]]
-) -> HaarSystem:
-    """imprimitivity_haar on checked inputs, given the imprimitivity groupoid of A and its least pairs.
+    A: Action, nu: FiberSystem, K: Groupoid, rep: Mapping[str, tuple[str, str]]
+) -> FiberSystem:
+    """The system nu induces on K, the imprimitivity groupoid of A or a copy of it.
 
-    Equivariance makes every pair of a class weigh the same, so the least pair
-    (y, x) gives the class its weight nu^{moment(y)}(x).
+    rep[k] = (y, x) is the least pair of the class k stands for; equivariance
+    makes every pair of a class weigh the same, so k weighs nu^{moment(y)}(x).
+    Nothing is certified here: the caller's make_haar on K does that, once.
     """
-    weight = {c: nu.weight(A.moment[y], x) for c, (y, x) in class_rep.items()}
-    measures = {u: Measure({c: weight[c] for c in fiber}) for u, fiber in imp.range_fibers().items()}
-    return make_haar(imp, fiber_system(imp.range_map, measures), "imprimitivity system")
+    weight = {k: nu.weight(A.moment[y], x) for k, (y, x) in rep.items()}
+    measures = {u: Measure({k: weight[k] for k in fiber}) for u, fiber in K.range_fibers().items()}
+    return fiber_system(K.range_map, measures)
 
 
 def default_beta(E: Equivalence) -> FiberSystem:
@@ -346,10 +340,12 @@ def transfer_haar(
 
     Stages: validate the two groupoids and the equivalence; certify lam;
     build (or take) the full system beta over the left moment and the
-    cut-off phi over the left orbit map; average into a full equivariant
-    system; induce a Haar system on the imprimitivity groupoid of the left
-    action; read it off along the canonical identification with the right
-    groupoid; certify the result.  Every failure names its stage.
+    cut-off phi over the left orbit map; average into nu, which _average
+    certifies full and equivariant; build the imprimitivity groupoid and
+    its identification with the right groupoid H, which _class_translation
+    checks to be an isomorphism, so a system is Haar on one exactly when
+    its copy is Haar on the other; induce nu straight onto H and certify it
+    there, once.  Every failure names its stage.
     """
     stage = "groupoid"
     try:
@@ -376,15 +372,11 @@ def transfer_haar(
         nu = _average(lam, E.left, beta, phi)
         stage = "imprimitivity"
         imp, class_rep = _imprimitivity(E.left, orbit)
-        induced = _induce(E.left, nu, imp, class_rep)
         iso = _class_translation(E, imp, class_rep)
         stage = "induction"
         H = E.right.groupoid
-        measures = {
-            iso[u]: Measure({iso[c]: w for c, w in induced.measure(u).items()})
-            for u in imp.sorted_units()
-        }
-        return make_haar(H, fiber_system(H.range_map, measures), "transferred system")
+        induced = _induce(E.left, nu, H, {iso[c]: pair for c, pair in class_rep.items()})
+        return make_haar(H, induced, "transferred system")
     except ValueError as exc:
         raise PipelineError(stage, str(exc)) from exc
 

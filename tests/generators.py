@@ -35,7 +35,7 @@ from haarsys import (
     transformation_groupoid,
     unit_orbit_map,
 )
-from haarsys.fixtures import pair_rectangle, self_equivalence
+from haarsys.fixtures import pair_rectangle, self_equivalence, weighted_pair3_haar
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,13 @@ def random_family(G: Groupoid, rng: random.Random) -> FiberSystem:
             weights[rng.choice(els)] = positive(rng)
         measures[u] = Measure(weights)
     return fiber_system(G.range_map, measures)
+
+
+def off_unit_family() -> FiberSystem:
+    """The weighted pair(3) system plus a measure keyed by the non-unit pair:1,2."""
+    lam = weighted_pair3_haar().system
+    measures = {**lam.measures, pair_arrow("1", "2"): Measure({pair_arrow("1", "3"): 5})}
+    return fiber_system(lam.base_map, measures)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from haarsys import (
     check_system,
     convolve,
     counting_haar,
+    default_beta,
+    default_phi,
     full_fiber_system,
     group_as_groupoid,
     imprimitivity_groupoid,
@@ -207,6 +209,35 @@ def test_criterion_4_transfer(acceptance_report):
         f"{passed}/100 transferred systems invariant ({len(families)} equivalence "
         f"families), rectangle fixture lands on constant weight 6",
     )
+
+
+def test_transfer_matches_its_closed_form():
+    """The transferred weight of h is the sum over sigma(z) = s(h) of mu(rho(z)) phi(z) beta(z).
+
+    rho and sigma are the left and right moments and mu(u) = lam^u(u).  Left
+    invariance gives lam^{r(g)}(g) = mu(s(g)), and the points z with
+    sigma(z) = s(h) are one left orbit, so averaging and induction collapse
+    to this sum; nothing in it goes through the imprimitivity groupoid.
+    """
+    rng = random.Random(SUITE_SEED + 40)
+    for _ in range(200):
+        _, G, lam, E = generators.random_equivalence(rng)
+        rho, sigma, H = E.left.moment, E.right.moment, E.right.groupoid
+        seeded = generators.random_full_beta(E.left, rng), generators.random_cutoff_for(E.left, rng)
+        for beta, phi in ((None, None), seeded):
+            out = transfer_haar(G, lam, E, beta, phi)
+            beta = default_beta(E) if beta is None else beta
+            phi = default_phi(E) if phi is None else phi
+            for h in H.sorted_elements():
+                expected = sum(
+                    (
+                        lam.weight(rho[z], rho[z]) * phi.weight(z) * beta.weight(rho[z], z)
+                        for z in E.left.sorted_carrier()
+                        if sigma[z] == H.source_map[h]
+                    ),
+                    Fraction(0),
+                )
+                assert out.weight(H.range_map[h], h) == expected, (h, expected)
 
 
 def test_criterion_5_blowup(acceptance_report):

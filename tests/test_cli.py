@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from generators import colliding_tokens_equivalence
+from generators import colliding_tokens_equivalence, off_unit_family
 from haarsys import (
     Action,
     Document,
@@ -163,6 +163,15 @@ def test_check_haar_skew_fails_with_invariance_witness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "left invariance" in out
     assert "x=g" in out
+
+
+def test_check_haar_fails_on_a_measure_keyed_off_the_units(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", pair3()))
+    s = write_doc(tmp_path, "s.json", Document("system", off_unit_family()))
+    assert main(["check-haar", "--groupoid", g, "--system", s]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    witness = "violation support containment: unit=pair:1,2 arrow=pair:1,3"
+    assert lines[:2] == ["status: FAIL", witness]
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +419,16 @@ def test_assoc_check_flags_the_skewed_system(tmp_path, capsys):
     assert main(["assoc-check", "--groupoid", g, "--system", s]) == 1
     out = capsys.readouterr().out
     assert "lhs=2" in out and "rhs=4" in out
+
+
+def test_assoc_check_fails_on_a_measure_keyed_off_the_units(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", pair3()))
+    s = write_doc(tmp_path, "s.json", Document("system", off_unit_family()))
+    assert main(["assoc-check", "--groupoid", g, "--system", s]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    witness = "family supported off its range fiber: unit=pair:1,2 element=pair:1,3"
+    assert captured.err == f"error: {witness}\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3", "two"])

@@ -266,6 +266,12 @@ def test_oracle_rejects_support_off_the_fiber():
         associativity_oracle(G, bad)
 
 
+def test_oracle_rejects_a_measure_keyed_off_the_units():
+    with pytest.raises(ValueError) as err:
+        associativity_oracle(pair3(), gen.off_unit_family())
+    assert str(err.value) == "family supported off its range fiber: unit=pair:1,2 element=pair:1,3"
+
+
 def test_oracle_holds_on_random_haar_passing_systems():
     rng = random.Random(33)
     seen = 0

@@ -166,6 +166,13 @@ def test_make_haar_names_its_context_on_failure():
     assert str(err.value).startswith("skew candidate:")
 
 
+def test_check_haar_flags_a_measure_keyed_off_the_units():
+    system = gen.off_unit_family()
+    witness = Violation("support containment", ("unit=pair:1,2", "arrow=pair:1,3"))
+    assert check_haar(pair3(), system).violations == (witness,)
+    assert laws(check_system(system)) == {"support containment"}
+
+
 def reference_check_haar(G, system):
     """check_haar's report from a plain scan that compares the weights as Fractions."""
     els = G.sorted_elements()

@@ -12,7 +12,7 @@ import pytest
 
 import generators as gen
 from isosearch import isomorphic
-from haarsys import actions, groupoids, systems
+from haarsys import actions, groupoids, systems, transfer
 from haarsys import (
     Measure,
     PipelineError,
@@ -549,7 +549,8 @@ def test_transfer_refuses_colliding_class_tokens_at_the_imprimitivity_stage():
 TRANSFER_BUDGET = {
     (actions, "validate_action"): 2,  # once per side, inside validate_equivalence
     (groupoids, "validate_groupoid"): 2,  # the two groupoids
-    (systems, "check_haar"): 3,  # lam, the imprimitivity system, the result
+    (systems, "check_haar"): 2,  # lam and the result, none on the imprimitivity groupoid
+    (systems, "make_haar"): 1,  # the result, certified on the right groupoid only
     (groupoids, "make_groupoid"): 1,  # the imprimitivity groupoid, built once
     (actions, "orbit_space"): 0,
     (actions, "_orbit_reps"): 3,  # once per side in validate_equivalence, once for the cut-off and imp
@@ -577,3 +578,33 @@ def test_transfer_validates_each_input_once(monkeypatch):
     assert {name: calls[name] for _, name in TRANSFER_BUDGET} == {
         name: n for (_, name), n in TRANSFER_BUDGET.items()
     }
+
+
+def doubled_first_weight(system):
+    """The system with the weight of the least point of its first measure doubled."""
+    first = next(u for u, m in system.measures.items() if m.support)
+    m = system.measure(first)
+    top = m.support[0]
+    doubled = Measure({**m.weights, top: 2 * m.weight(top)})
+    return fiber_system(system.base_map, {**system.measures, first: doubled})
+
+
+def test_transfer_certifies_the_induced_system_on_the_right_groupoid(monkeypatch):
+    induce = transfer._induce
+    monkeypatch.setattr(transfer, "_induce", lambda *args: doubled_first_weight(induce(*args)))
+    with pytest.raises(PipelineError) as err:
+        transfer_haar(pair3(), weighted_pair3_haar(), rect32())
+    assert err.value.stage == "induction"
+    assert str(err.value).startswith(
+        "[stage: induction] transferred system: violation left invariance: "
+    )
+
+
+def test_invariant_measure_still_certifies_the_averaged_system(monkeypatch):
+    build = transfer.fiber_system
+    monkeypatch.setattr(transfer, "fiber_system", lambda *args: doubled_first_weight(build(*args)))
+    with pytest.raises(RuntimeError) as err:
+        invariant_measure(swap_action(), Measure({"z1": 1, "z2": 2}), swap_cutoff())
+    assert str(err.value).startswith(
+        "internal: averaged system not equivariant: violation equivariance: "
+    )
