@@ -27,10 +27,10 @@ from .documents import Document, SchemaError, _load_json, _schema, parse, serial
 from .groupoids import ValidationReport, blow_up, validate_groupoid
 from .systems import (
     Cutoff,
+    HaarSystem,
     check_haar,
     check_system,
     counting_haar,
-    make_haar,
     uniform_cutoff,
 )
 from .transfer import (
@@ -113,7 +113,7 @@ def cmd_check_haar(args: argparse.Namespace) -> int:
 
 def cmd_transfer(args: argparse.Namespace) -> int:
     G = _load(args.groupoid, "groupoid").payload
-    lam = make_haar(G, _load(args.haar, "system").payload, "input haar")
+    lam = HaarSystem(G, _load(args.haar, "system").payload)
     E = _load(args.equivalence, "equivalence").payload
     beta = _load(args.beta, "system").payload if args.beta else None
     phi = _load(args.phi, "cutoff").payload if args.phi else None
@@ -135,7 +135,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
         raise ValueError("fiber system base map does not match the blow-up map")
     check_system(beta).require("not a full system")
     if args.haar:
-        lam = make_haar(G, _load(args.haar, "system").payload, "input haar")
+        lam = HaarSystem(G, _load(args.haar, "system").payload)
         kappa = blowup_haar(G, lam, fm, beta)
         meta = {"construction": "blow-up haar"}
         _write_text(args.out, serialize(Document("system", kappa.system, meta)))

@@ -18,13 +18,12 @@ the two validate each other.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .groupoids import Groupoid, ValidationReport, Violation, _fibers
-from .systems import FiberSystem, HaarSystem, Rational, as_fraction
+from .systems import FiberSystem, HaarSystem, Rational, _over_fibers, as_fraction
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -102,16 +101,6 @@ def _bind(G: Groupoid, lam: FiberSystem | HaarSystem, context: str) -> FiberSyst
     if lam.base_map != G.range_map:
         raise ValueError(f"{context}: base map mismatch: expected the range map of the groupoid")
     return lam
-
-
-def _over_fibers(values: Mapping[str, Fraction], key: Callable) -> tuple[dict[str, int], dict]:
-    """Write each value as an integer over one common denominator per fiber of key.
-
-    Returns (nums, dens) with values[p] == nums[p] / dens[key(p)] exactly.
-    """
-    fibers = _fibers(values, key)
-    dens = {b: lcm(*(values[p].denominator for p in ps)) for b, ps in fibers.items()}
-    return {p: v.numerator * (dens[key(p)] // v.denominator) for p, v in values.items()}, dens
 
 
 def convolve(

@@ -8,9 +8,10 @@ in their notes instead of pretending to test it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar, Union
 
 from .groupoids import Groupoid, ValidationReport, Violation, _fibers
@@ -85,6 +86,20 @@ class Measure:
     def __repr__(self) -> str:
         inside = ", ".join(f"{k}: {v}" for k, v in self.weights.items())
         return f"Measure({{{inside}}})"
+
+
+def _over_fibers(values: Mapping[str, Fraction], key: Callable) -> tuple[dict[str, int], dict]:
+    """Write each value as an integer over one common denominator per fiber of key.
+
+    Returns (nums, dens) with values[p] == nums[p] / dens[key(p)] exactly.
+    The exact integer kernels share it: convolution.convolve puts its
+    coefficients over one denominator per range fiber and h over one per
+    source fiber, and transfer._average puts lam over one per range fiber
+    and its cut-off column over one per orbit.  O(|values|).
+    """
+    fibers = _fibers(values, key)
+    dens = {b: lcm(*(values[p].denominator for p in ps)) for b, ps in fibers.items()}
+    return {p: v.numerator * (dens[key(p)] // v.denominator) for p, v in values.items()}, dens
 
 
 @dataclass(frozen=True)

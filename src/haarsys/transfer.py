@@ -41,11 +41,13 @@ from .groupoids import (
     validate_groupoid,
 )
 from .systems import (
+    NO_WEIGHT,
     Cutoff,
     FiberSystem,
     HaarSystem,
     Measure,
     Rational,
+    _over_fibers,
     _partition_reps,
     as_fraction,
     check_haar,
@@ -92,12 +94,20 @@ def check_equivariant(A: Action, system: FiberSystem) -> ValidationReport:
     validate_action's job.  For each entry the weight of g.z at r(g) must
     equal the weight of z at s(g).  An arrow with no range or no source is
     reported once, with check_haar's law name, and its entries are skipped.
-    O(|act|) on a table built by the constructors, which is already sorted.
+    Weights are compared as (numerator, denominator) pairs of ints, read once
+    per measure, as check_haar does; the lhs/rhs witnesses still print the
+    Fractions.  O(|measures| + |act|) on a table built by the constructors,
+    which is already sorted.
     """
     if system.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
     bad: list[Violation] = []
     G = A.groupoid
+    # Fractions are kept in lowest terms, so equal weights have equal (numerator, denominator)
+    pairs = {
+        u: {z: (w.numerator, w.denominator) for z, w in m.weights.items()}
+        for u, m in system.measures.items()
+    }
     last = None
     for (g, z), w in sorted(A.act.items()):
         if g != last:  # the entries of one arrow are adjacent in sorted order
@@ -105,12 +115,11 @@ def check_equivariant(A: Action, system: FiberSystem) -> ValidationReport:
             r, s = G.range_map.get(g), G.source_map.get(g)
             gaps = [name for name, end in (("range", r), ("source", s)) if end is None]
             bad.extend(Violation(f"{name} undefined", (f"x={g}",)) for name in gaps)
-            top, bottom = system.measure(r), system.measure(s)
+            top, bottom = pairs.get(r, {}), pairs.get(s, {})
         if gaps:
             continue
-        lhs = top.weight(w)
-        rhs = bottom.weight(z)
-        if lhs != rhs:
+        if top.get(w, NO_WEIGHT) != bottom.get(z, NO_WEIGHT):
+            lhs, rhs = system.weight(r, w), system.weight(s, z)
             bad.append(Violation("equivariance", (f"g={g}", f"z={z}", f"lhs={lhs}", f"rhs={rhs}")))
     return ValidationReport(tuple(bad))
 
@@ -175,8 +184,10 @@ def average_system(
         sum over g in the range fiber at u of
             lam-weight of g * phi(inv(g).w) * beta-weight of inv(g).w at s(g).
 
-    After the checks, one walk over the action table adds the term of each
-    entry (g, z) into the weight of g.z at r(g): O(|act|).  Fullness and
+    After the checks, _average sums plain ints and stays exact: lam over one
+    common denominator per range fiber, phi * beta over one per orbit of the
+    action, one int product per action-table entry, and one Fraction per
+    weight at the end: O(|lam| + |carrier| + |act|).  Fullness and
     equivariance of the result are re-verified before returning; a failure
     there is a bug, not an input error.
     """
@@ -194,15 +205,33 @@ def average_system(
 
 
 def _average(lam: HaarSystem, A: Action, beta: FiberSystem, phi: Cutoff) -> FiberSystem:
-    """average_system on inputs already checked to fit together."""
+    """average_system on inputs already checked to fit together, as an exact int kernel.
+
+    lam^u(g) = lnum[g] / lden[u], one denominator per range fiber; the column
+    c(z) = phi(z) * beta^{moment(z)}(z) = cnum[z] / cden[k], one per orbit k,
+    read off phi's quotient map (the callers checked that it induces the
+    orbit partition).  The entry (g, z) with g.z = w adds lnum[g] * cnum[z] to
+    (r(g), w); z lies in the orbit of w, so all terms of (u, w) share the
+    denominator lden[u] * cden[orbit of w].  Points off phi's support add nothing.
+    """
     G = A.groupoid
-    weights: dict[str, dict[str, Fraction]] = {u: {} for u in G.units}
+    r = G.range_map
+    orbit = phi.quotient_map
+    lnum, lden = _over_fibers(
+        {g: w for m in lam.system.measures.values() for g, w in m.weights.items()}, r.__getitem__
+    )
+    column = {z: f * beta.weight(A.moment[z], z) for z, f in phi.weights.weights.items()}
+    cnum, cden = _over_fibers(column, orbit.__getitem__)
+    acc: dict[tuple[str, str], int] = {}
     for (g, z), w in A.act.items():
-        u = G.range_map[g]
-        term = lam.weight(u, g) * phi.weight(z) * beta.weight(G.source_map[g], z)
-        weights[u][w] = weights[u].get(w, ZERO) + term
-    measures = {u: Measure(ws) for u, ws in weights.items()}
-    nu = fiber_system(A.moment, measures)
+        c = cnum.get(z)
+        if c:
+            key = (r[g], w)
+            acc[key] = acc.get(key, 0) + lnum[g] * c
+    weights: dict[str, dict[str, Fraction]] = {u: {} for u in G.units}
+    for (u, w), n in acc.items():
+        weights[u][w] = Fraction(n, lden[u] * cden[orbit[w]])
+    nu = fiber_system(A.moment, {u: Measure(ws) for u, ws in weights.items()})
     check_system(nu).require("internal: averaged system not full", RuntimeError)
     check_equivariant(A, nu).require("internal: averaged system not equivariant", RuntimeError)
     return nu

@@ -329,11 +329,11 @@ def random_proper_space(rng: random.Random) -> tuple[Groupoid, HaarSystem, Actio
     return G, scaled_counting_haar(G, rng), A
 
 
-def random_full_beta(A: Action, rng: random.Random) -> FiberSystem:
-    return full_fiber_system(A.moment, {z: positive(rng) for z in sorted(A.carrier)})
+def random_full_beta(A: Action, rng: random.Random, weight=positive) -> FiberSystem:
+    return full_fiber_system(A.moment, {z: weight(rng) for z in sorted(A.carrier)})
 
 
-def random_cutoff_for(A: Action, rng: random.Random) -> Cutoff:
+def random_cutoff_for(A: Action, rng: random.Random, weight=positive) -> Cutoff:
     """Positive on a random nonempty slice of every orbit, zero elsewhere."""
     _, qmap = orbit_space(A)
     classes: dict[str, list[str]] = {}
@@ -343,7 +343,7 @@ def random_cutoff_for(A: Action, rng: random.Random) -> Cutoff:
     for members in classes.values():
         chosen = rng.sample(members, rng.randint(1, len(members)))
         for z in chosen:
-            weights[z] = positive(rng)
+            weights[z] = weight(rng)
     return Cutoff(Measure(weights), qmap)
 
 

@@ -11,6 +11,7 @@ import generators as gen
 from isosearch import isomorphic
 from generators import unit_carrier_equivalence
 from haarsys import (
+    Document,
     Equivalence,
     imprimitivity_groupoid,
     imprimitivity_iso,
@@ -27,10 +28,12 @@ from haarsys import (
     relation_groupoid,
     right_action,
     right_translation_action,
+    serialize,
     unit_translation_action,
     validate_action,
     validate_equivalence,
 )
+from haarsys.cli import main
 from haarsys.fixtures import pair2, pair3, pair_rectangle, rect32, swap_action, trivial_group, z2
 
 
@@ -262,6 +265,45 @@ def test_right_moment_invariance_is_reported():
 def test_action_validator_reports_moment_and_unit_laws(change, first):
     report = validate_action(replace(swap_action(), **change))
     assert report.violations[0].render() == first
+
+
+@pytest.mark.parametrize(
+    "target, witnesses",
+    [
+        (
+            "pair:2,2",  # moment pair:2,2 = r(pair:2,1): only compatibility breaks
+            [
+                "violation compatibility: g=pair:1,2 h=pair:2,1 z=pair:1,3",
+                "violation compatibility: g=pair:2,1 h=pair:1,2 z=pair:2,3",
+                "violation compatibility: g=pair:2,1 h=pair:1,3 z=pair:3,3",
+                "violation compatibility: g=pair:2,3 h=pair:3,1 z=pair:1,3",
+                "violation compatibility: g=pair:3,2 h=pair:2,1 z=pair:1,3",
+            ],
+        ),
+        (
+            "pair:1,3",  # the translate keeps z's moment pair:1,1, not r(pair:2,1)
+            [
+                "violation moment of translate: g=pair:2,1 z=pair:1,3 moment=pair:1,1",
+                "violation compatibility: g=pair:2,1 h=pair:1,2 z=pair:2,3",
+                "violation compatibility: g=pair:2,1 h=pair:1,3 z=pair:3,3",
+                "violation compatibility: g=pair:2,3 h=pair:3,1 z=pair:1,3",
+            ],
+        ),
+    ],
+)
+def test_action_validator_lists_compatibility_and_moment_of_translate_witnesses(
+    target, witnesses, tmp_path, capsys
+):
+    A = left_translation_action(pair3())
+    broken = replace(A, act={**A.act, ("pair:2,1", "pair:1,3"): target})
+    report = validate_action(broken)
+    assert [v.render() for v in report.violations] == witnesses
+    path = tmp_path / "action.json"
+    path.write_text(serialize(Document("action", broken)))
+    assert main(["validate", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[: len(witnesses) + 1] == ["status: FAIL", *witnesses]
+    assert [line.split(":")[0] for line in lines[len(witnesses) + 1 :]] == ["note", "note"]
 
 
 def test_opposite_equivalence_swaps_sides_and_involutes():

@@ -14,7 +14,9 @@ from haarsys import (
     Action,
     Document,
     Equivalence,
+    Measure,
     counting_haar,
+    fiber_system,
     full_fiber_system,
     make_groupoid,
     parse,
@@ -42,7 +44,11 @@ def write_doc(tmp_path, name, doc):
 
 
 def corrupted_pair2():
-    G = pair2()
+    return self_inverse(pair2())
+
+
+def self_inverse(G):
+    """G with pair:1,2 declared its own inverse."""
     inv = dict(G.inverse_map)
     inv["pair:1,2"] = "pair:1,2"
     return make_groupoid(
@@ -225,6 +231,38 @@ def test_transfer_rejects_wrong_document_kind_exits_two(tmp_path, capsys):
     assert "expected a system document" in capsys.readouterr().err
 
 
+def doubled_pair3_haar():
+    """The weighted pair(3) system with pair:1,1 doubled at pair:1,1: full, not invariant."""
+    lam = weighted_pair3_haar().system
+    unit = lam.measures["pair:1,1"]
+    return fiber_system(
+        lam.base_map,
+        {**lam.measures, "pair:1,1": Measure({**unit.weights, "pair:1,1": 2 * unit.weight("pair:1,1")})},
+    )
+
+
+def test_transfer_reports_a_non_haar_input_with_the_library_text(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", pair3()))
+    lam = write_doc(tmp_path, "lam.json", Document("system", doubled_pair3_haar()))
+    e = write_doc(tmp_path, "e.json", CORPUS["equivalence-rect32"])
+    assert main(["transfer", "--groupoid", g, "--haar", lam, "--equivalence", e]) == 1
+    assert capsys.readouterr().err == (
+        "error: [stage: haar] not a Haar system: violation left invariance:"
+        " x=pair:1,2 z=pair:1,1 lhs=2 rhs=1\n"
+    )
+
+
+def test_transfer_reports_an_invalid_groupoid_before_the_haar_input(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", self_inverse(pair3())))
+    lam = write_doc(tmp_path, "lam.json", Document("system", doubled_pair3_haar()))
+    e = write_doc(tmp_path, "e.json", CORPUS["equivalence-rect32"])
+    assert main(["transfer", "--groupoid", g, "--haar", lam, "--equivalence", e]) == 1
+    assert capsys.readouterr().err == (
+        "error: [stage: groupoid] invalid left groupoid: violation inverse range law:"
+        " x=pair:1,2 inv(x)=pair:1,2\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # blowup and imprimitivity
 
@@ -281,6 +319,33 @@ def test_blowup_with_haar_emits_checked_system(tmp_path, capsys):
     assert check_haar(big, doc.payload).passed
     assert doc.payload.weight(blowup_arrow("z1", "e", "z1"), blowup_arrow("z1", "g", "z2")) == 1
     capsys.readouterr()
+
+
+def test_blowup_reports_a_non_haar_input_with_the_library_text(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", z2()))
+    fm = tmp_path / "map.json"
+    fm.write_text(json.dumps({"z1": "e", "z2": "e"}))
+    beta = write_doc(tmp_path, "beta.json", _blow_beta())
+    lam = write_doc(tmp_path, "lam.json", Document("system", z2_skew_system()))
+    args = ["blowup", "--groupoid", g, "--map", str(fm), "--fsystem", beta, "--haar", lam]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: not a Haar system: violation left invariance: x=g z=e lhs=1 rhs=2\n"
+    )
+
+
+def test_blowup_reports_an_invalid_groupoid_before_the_haar_input(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", self_inverse(pair3())))
+    fm = tmp_path / "map.json"
+    fm.write_text(json.dumps({"z1": "pair:1,1", "z2": "pair:2,2"}))
+    fiber = Document("system", full_fiber_system({"z1": "pair:1,1", "z2": "pair:2,2"}))
+    beta = write_doc(tmp_path, "beta.json", fiber)
+    lam = write_doc(tmp_path, "lam.json", Document("system", doubled_pair3_haar()))
+    args = ["blowup", "--groupoid", g, "--map", str(fm), "--fsystem", beta, "--haar", lam]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid groupoid: violation inverse range law: x=pair:1,2 inv(x)=pair:1,2\n"
+    )
 
 
 def test_blowup_rejects_mismatched_fiber_system(tmp_path, capsys):

@@ -55,6 +55,16 @@ def test_function_algebra():
     assert delta(z2(), "g") == GroupoidFunction(z2(), {"g": 1})
 
 
+def test_functions_differing_in_a_value_a_key_or_the_groupoid_are_unequal():
+    f = GroupoidFunction(pair2(), {"pair:1,1": 1, "pair:1,2": -2})
+    assert f == GroupoidFunction(pair2(), {"pair:1,2": -2, "pair:1,1": 1, "pair:2,2": 0})
+    assert f != GroupoidFunction(pair2(), {"pair:1,1": 1, "pair:1,2": 2})
+    assert f != GroupoidFunction(pair2(), {"pair:1,1": 1, "pair:2,1": -2})
+    assert f != GroupoidFunction(pair3(), {"pair:1,1": 1, "pair:1,2": -2})
+    assert GroupoidFunction(pair2(), {}) != GroupoidFunction(z2(), {})
+    assert f != {"pair:1,1": 1, "pair:1,2": -2}
+
+
 def test_function_addition_requires_one_groupoid():
     with pytest.raises(ValueError):
         GroupoidFunction(z2(), {"e": 1}).plus(GroupoidFunction(pair2(), {}))

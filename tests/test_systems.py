@@ -52,6 +52,15 @@ def test_measure_drops_zero_weights_and_sorts():
     assert sum(m.weights.values()) == Fraction(7, 2)
 
 
+def test_measures_differing_in_a_weight_or_a_key_are_unequal():
+    m = Measure({"a": 1, "b": Fraction(1, 2)})
+    assert m == Measure({"b": Fraction(1, 2), "a": 1, "c": 0})
+    assert m != Measure({"a": 1, "b": Fraction(1, 3)})
+    assert m != Measure({"a": 1, "c": Fraction(1, 2)})
+    assert m != Measure({"a": 1})
+    assert m != {"a": 1, "b": Fraction(1, 2)}
+
+
 def test_measure_rejects_negative_weight():
     with pytest.raises(ValueError):
         Measure({"a": -1})
@@ -290,6 +299,27 @@ def test_cutoff_cover_must_reach_base():
     q = {"1": "A", "2": "B"}
     with pytest.raises(ValueError):
         cutoff_function(q, [["A"]], [{"A": 1}], [{"1": 1}])
+
+
+def test_cutoff_accepts_a_zero_partition_weight_outside_its_cover_set():
+    q = {"1": "A", "2": "B"}
+    phi = cutoff_function(
+        q, [["A"], ["B"]], [{"A": 1, "B": 0}, {"B": 1}], [{"1": 1}, {"2": 1}]
+    )
+    assert phi.weights == Measure({"1": 1, "2": 1})
+
+
+def test_cutoff_does_not_call_zero_weights_negative():
+    q = {"1": "A", "2": "A"}
+    phi = cutoff_function(q, [["A"], ["A"]], [{"A": 1}, {"A": 0}], [{"1": 1, "2": 0}, {"2": 1}])
+    assert phi.weights == Measure({"1": 1})
+
+
+def test_cutoff_local_section_zero_on_a_cover_point_misses_it():
+    q = {"1": "A", "2": "B"}
+    with pytest.raises(ValueError) as err:
+        cutoff_function(q, [["A", "B"]], [{"A": 1, "B": 1}], [{"1": 1, "2": 0}])
+    assert str(err.value) == "local section 0 misses its cover set at: B"
 
 
 def test_cutoff_support_note_is_recorded():

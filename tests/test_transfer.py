@@ -36,6 +36,7 @@ from haarsys import (
     invariant_measure,
     left_action,
     left_translation_action,
+    make_haar,
     orbit_space,
     pair_arrow,
     pair_groupoid,
@@ -47,6 +48,7 @@ from haarsys import (
     transformation_groupoid,
     transitive_haar,
     uniform_cutoff,
+    unit_orbit_map,
     unit_translation_action,
 )
 from haarsys.fixtures import (
@@ -218,20 +220,54 @@ def test_average_output_is_full_and_equivariant_on_random_instances():
         assert check_equivariant(A, nu).passed
 
 
+def assert_fiber_formula(G, lam, A, beta, phi):
+    """average_system against the Fraction sum over the range fiber, z = inv(g).w."""
+    nu = average_system(lam, A, beta, phi)
+    assert sorted(nu.measures) == G.sorted_units()
+    for w in A.sorted_carrier():
+        u = A.moment[w]
+        expected = Fraction(0)
+        for g in G.range_fibers()[u]:
+            z = A.act[(G.inverse_map[g], w)]
+            expected += lam.weight(u, g) * phi.weight(z) * beta.weight(G.source_map[g], z)
+        assert nu.weight(u, w) == expected
+
+
 def test_average_system_matches_the_fiber_formula():
     rng = random.Random(24)
     for _ in range(30):
         G, lam, A = gen.random_proper_space(rng)
-        beta, phi = gen.random_full_beta(A, rng), gen.random_cutoff_for(A, rng)
-        nu = average_system(lam, A, beta, phi)
-        assert sorted(nu.measures) == G.sorted_units()
-        for w in A.sorted_carrier():
-            u = A.moment[w]
-            expected = Fraction(0)
-            for g in G.range_fiber(u):
-                z = A.apply(G.inv(g), w)
-                expected += lam.weight(u, g) * phi.weight(z) * beta.weight(G.source_map[g], z)
-            assert nu.weight(u, w) == expected
+        assert_fiber_formula(G, lam, A, gen.random_full_beta(A, rng), gen.random_cutoff_for(A, rng))
+
+
+PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+
+
+def test_average_system_is_exact_on_prime_denominators():
+    """lam, beta and phi weights all carry distinct prime denominators.
+
+    lam^{r(y)}(y) = mu(s(y)) is Haar on any groupoid; mu takes one prime per
+    unit, beta and phi one per carrier point.
+    """
+    rng = random.Random(26)
+    orbit_counts = []
+    for _ in range(40):
+        G, _, A = gen.random_proper_space(rng)
+        primes = iter(rng.sample(PRIMES, len(G.units) + 2 * len(A.carrier)))
+
+        def weight(rng):
+            return Fraction(rng.randint(1, 4), next(primes))
+
+        mu = {u: weight(rng) for u in G.sorted_units()}
+        measures = {
+            u: Measure({y: mu[G.source_map[y]] for y in fiber})
+            for u, fiber in G.range_fibers().items()
+        }
+        lam = make_haar(G, fiber_system(G.range_map, measures))
+        beta, phi = gen.random_full_beta(A, rng, weight), gen.random_cutoff_for(A, rng, weight)
+        assert_fiber_formula(G, lam, A, beta, phi)
+        orbit_counts.append(len(set(unit_orbit_map(G).values())))
+    assert sum(n >= 2 for n in orbit_counts) >= 10
 
 
 def test_averaging_integrates_psi_phi_against_lam():
