@@ -4,7 +4,8 @@ Every action is stored in left form: a table (g, z) -> g.z defined on exactly
 the pairs with source(g) == moment(z).  A right action keeps its meaning
 through the side tag; its stored table is the translated left action
 g.z := z.inv(g), so one code path serves both orientations and flipping the
-tag is an involution.
+tag is an involution.  Action stores its moment and table sorted by key
+(groupoids._sort_tables), and the validators walk them in that order.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .groupoids import (
     _edge_components,
     _fibers,
     _pullback,
+    _sort_tables,
     validate_groupoid,
 )
 
@@ -49,7 +51,8 @@ class Action:
 
     ``act`` maps (g, z) to the translated point; its domain must be exactly
     the pairs with source(g) == moment(z).  ``side`` records whether the
-    action is meant as a left or a right one.
+    action is meant as a left or a right one.  ``moment`` and ``act`` are
+    stored sorted by key.
     """
 
     groupoid: Groupoid
@@ -58,28 +61,11 @@ class Action:
     act: dict[tuple[str, str], str]
     side: str = "left"
 
+    def __post_init__(self) -> None:
+        _sort_tables(self, "moment", "act")
+
     def sorted_carrier(self) -> list[str]:
         return sorted(self.carrier)
-
-    def apply(self, g: str, z: str) -> str:
-        try:
-            return self.act[(g, z)]
-        except KeyError:
-            raise ValueError(f"action undefined: g={g} z={z}") from None
-
-    def apply_right(self, z: str, g: str) -> str:
-        """The right-sided reading z.g of the stored table."""
-        return self.apply(self.groupoid.inv(g), z)
-
-
-def _canon_action(groupoid: Groupoid, carrier, moment, act, side: str) -> Action:
-    return Action(
-        groupoid=groupoid,
-        carrier=frozenset(str(z) for z in carrier),
-        moment=dict(sorted((str(z), str(u)) for z, u in moment.items())),
-        act=dict(sorted(act.items())),
-        side=side,
-    )
 
 
 def _action_domain(G: Groupoid, carrier, moment: Mapping[str, str]) -> set[tuple[str, str]]:
@@ -96,12 +82,13 @@ def left_action(
 ) -> Action:
     """Build a left action from a table (g, z) -> g.z.
 
-    One walk over the action table checks its moment, domain and carrier
-    laws, the walk validate_action starts with, and raises the first
-    violation it reports: O(|Z| + |G| + |act| log |act|).
+    The Action stores the table sorted.  One walk over it checks its moment,
+    domain and carrier laws, the walk validate_action starts with, and raises
+    the first violation it reports: O(|Z| + |G| + |act| log |act|).
     """
     act = {(str(g), str(z)): str(w) for (g, z), w in table.items()}
-    A = _canon_action(groupoid, carrier, moment, act, "left")
+    moment = {str(z): str(u) for z, u in moment.items()}
+    A = Action(groupoid, frozenset(map(str, carrier)), moment, act)
     _table_laws(A).require("invalid action")
     return A
 
@@ -126,7 +113,8 @@ def right_action(
         if g not in inv:
             raise ValueError(f"unknown acting element: {g}")
         act[(inv[g], z)] = w
-    A = _canon_action(groupoid, carrier, moment, act, "right")
+    moment = {str(z): str(u) for z, u in moment.items()}
+    A = Action(groupoid, frozenset(map(str, carrier)), moment, act, "right")
     _table_laws(A).require("invalid action")
     return A
 
@@ -156,7 +144,8 @@ def _table_laws(A: Action) -> ValidationReport:
 
     Every carrier point has a unit as its moment and nothing else does; the
     table is defined on exactly the pairs with source(g) == moment(z); every
-    value lies in the carrier.  O(|Z| + |G| + |act| log |act|).
+    value lies in the carrier.  The stored tables are walked in their sorted
+    order; only the domain witnesses are sorted: O(|Z| + |G| + |act|).
     """
     bad: list[Violation] = []
     G = A.groupoid
@@ -166,7 +155,7 @@ def _table_laws(A: Action) -> ValidationReport:
             bad.append(Violation("moment undefined", (f"z={z}",)))
         elif A.moment[z] not in G.units:
             bad.append(Violation("moment not a unit", (f"z={z}", f"value={A.moment[z]}")))
-    for z in sorted(A.moment):
+    for z in A.moment:
         if z not in car:
             bad.append(Violation("moment key off carrier", (f"z={z}",)))
 
@@ -175,7 +164,7 @@ def _table_laws(A: Action) -> ValidationReport:
         bad.append(Violation("domain", (f"g={key[0]}", f"z={key[1]}", "off the composable pairs")))
     for key in sorted(expected - set(A.act)):
         bad.append(Violation("domain", (f"g={key[0]}", f"z={key[1]}", "missing")))
-    for key, value in sorted(A.act.items()):
+    for key, value in A.act.items():
         if value not in car:
             bad.append(Violation("carrier", (f"g={key[0]}", f"z={key[1]}", f"value={value}")))
     return ValidationReport(tuple(bad))
@@ -187,7 +176,7 @@ def validate_action(A: Action) -> ValidationReport:
     First comes the walk over the action table that the constructors raise
     on (moment, domain, carrier); the moment of each translate is a second
     walk over the table, and compatibility walks fibers, not G x G x Z:
-    O(|Z| + |G| + |act| log |act| + composable pairs x moment-fiber size).
+    O(|Z| + |G| + |act| + composable pairs x moment-fiber size).
     """
     bad = list(_table_laws(A).violations)
     G = A.groupoid
@@ -201,7 +190,7 @@ def validate_action(A: Action) -> ValidationReport:
         w = act((u, z))
         if w is not None and w != z:
             bad.append(Violation("unit acts trivially", (f"z={z}", f"u.z={w}")))
-    for (g, z), w in sorted(A.act.items()):
+    for (g, z), w in A.act.items():
         if w in car and mom(w) != G.range_map.get(g):
             bad.append(Violation("moment of translate", (f"g={g}", f"z={z}", f"moment={mom(w)}")))
 
@@ -233,7 +222,7 @@ def orbit_space(A: Action) -> tuple[tuple[str, ...], dict[str, str]]:
     """Quotient of the carrier by the action: (representatives, quotient map)."""
     validate_action(A).require("invalid action")
     rep = _orbit_reps(A)
-    return tuple(sorted(set(rep.values()))), dict(sorted(rep.items()))
+    return tuple(sorted(set(rep.values()))), rep
 
 
 def left_translation_action(G: Groupoid) -> Action:
@@ -311,12 +300,12 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
     rho = E.left.moment
     sigma = E.right.moment
 
-    for (g, z), w in sorted(E.left.act.items()):
+    for (g, z), w in E.left.act.items():
         if sigma[w] != sigma[z]:
             bad.append(Violation("right moment invariance", (f"g={g}", f"z={z}")))
     # the right table is stored as (inv(h), z) -> z.h, so the witness inverts the stored key
     hinv = E.right.groupoid.inverse_map.get
-    for (k, z), w in sorted(E.right.act.items()):
+    for (k, z), w in E.right.act.items():
         if rho[w] != rho[z]:
             bad.append(Violation("left moment invariance", (f"h={hinv(k, k)}", f"z={z}")))
     if bad:
@@ -325,7 +314,7 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
     # H is not validated here: a side left undefined by a bad inverse does not commute
     hr = E.right.groupoid.range_fibers()
     left, right = E.left.act.get, E.right.act.get
-    for (g, z), gz in sorted(E.left.act.items()):
+    for (g, z), gz in E.left.act.items():
         for h in hr.get(sigma[z], ()):
             lhs = right((hinv(h), gz))
             rhs = left((g, right((hinv(h), z))))

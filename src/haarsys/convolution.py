@@ -66,16 +66,6 @@ class GroupoidFunction:
     def items(self) -> list[tuple[str, Fraction]]:
         return list(self.values.items())
 
-    def plus(self, other: "GroupoidFunction") -> "GroupoidFunction":
-        if self.groupoid != other.groupoid:
-            raise ValueError("groupoid mismatch")
-        keys = set(self.values) | set(other.values)
-        return GroupoidFunction(self.groupoid, {k: self.value(k) + other.value(k) for k in keys})
-
-    def scaled(self, c: Rational) -> "GroupoidFunction":
-        factor = as_fraction(c, "scale factor")
-        return GroupoidFunction(self.groupoid, {k: v * factor for k, v in self.values.items()})
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GroupoidFunction)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
-from .actions import Action, Equivalence, _canon_action
+from .actions import Action, Equivalence
 from .convolution import GroupoidFunction
 from .groupoids import (
     Groupoid,
@@ -91,7 +91,7 @@ def _encode_groupoid(G: Groupoid) -> dict:
         "range": dict(G.range_map),
         "source": dict(G.source_map),
         "inverse": dict(G.inverse_map),
-        "compose": sorted([x, y, z] for (x, y), z in G.compose_map.items()),
+        "compose": [[x, y, z] for (x, y), z in G.compose_map.items()],
     }
 
 
@@ -104,7 +104,7 @@ def _encode_system(S: FiberSystem) -> dict:
 
 def _encode_action(A: Action) -> dict:
     if A.side == "left":
-        rows = sorted([g, z, w] for (g, z), w in A.act.items())
+        rows = [[g, z, w] for (g, z), w in A.act.items()]
     else:
         inv = A.groupoid.inverse_map
         for g, _ in A.act:
@@ -425,7 +425,7 @@ def _decode_action(data: dict, where: str = "") -> Action:
     build = _pairs if side == "left" else lambda rows: {(inv[g], z): w for z, g, w in rows}
     rows = _need(data, "table", list, where)
     act = _rows(_at(where, "table"), rows, "expected a three-token row", checks, build)
-    return _canon_action(G, carrier, moment, act, side)
+    return Action(G, frozenset(carrier), moment, act, side)
 
 
 def _decode_equivalence(data: dict, where: str = "") -> Equivalence:

@@ -17,8 +17,7 @@ from .actions import (
     right_action,
     right_translation_action,
 )
-from .documents import Document
-from .groupoids import Groupoid, blow_up, group_as_groupoid, pair_arrow, pair_groupoid
+from .groupoids import Groupoid, group_as_groupoid, pair_arrow, pair_groupoid
 from .systems import (
     Cutoff,
     FiberSystem,
@@ -32,10 +31,8 @@ from .systems import (
 
 __all__ = [
     "blowup_z2_data",
-    "fixture_corpus",
     "pair2",
     "pair3",
-    "pair2_point_equivalence",
     "pair_rectangle",
     "rect32",
     "rect_point",
@@ -152,41 +149,7 @@ def self_equivalence(G: Groupoid) -> Equivalence:
     return Equivalence(left_translation_action(G), right_translation_action(G))
 
 
-def pair2_point_equivalence() -> Equivalence:
-    """The two points linking the pair groupoid of {1,2} to the trivial group."""
-    G = pair2()
-    H = trivial_group()
-    carrier = ["1", "2"]
-    left = left_action(
-        G,
-        carrier,
-        {p: pair_arrow(p, p) for p in carrier},
-        {(pair_arrow(u, v), v): u for u in carrier for v in carrier},
-    )
-    right = right_action(
-        H, carrier, {p: "e" for p in carrier}, {(p, "e"): p for p in carrier}
-    )
-    return Equivalence(left, right)
-
-
 def blowup_z2_data() -> tuple[Groupoid, dict[str, str], FiberSystem]:
     """The order-2 group, the constant map off {z1, z2}, and counting weights."""
     f = {"z1": "e", "z2": "e"}
     return z2(), f, full_fiber_system(f)
-
-
-def fixture_corpus() -> dict[str, Document]:
-    """One parsed document per serializable kind, for round-trip checks."""
-    E = rect32()
-    return {
-        "groupoid-pair2": Document("groupoid", pair2()),
-        "groupoid-z2": Document("groupoid", z2()),
-        "groupoid-blowup-z2": Document("groupoid", blow_up(*blowup_z2_data()[:2])),
-        "system-weighted-pair3": Document("system", weighted_pair3_haar().system),
-        "system-z2-skew": Document("system", z2_skew_system()),
-        "action-swap": Document("action", swap_action()),
-        "action-rect32-right": Document("action", E.right),
-        "equivalence-rect32": Document("equivalence", E),
-        "cutoff-swap": Document("cutoff", swap_cutoff()),
-        "function-z2": Document("function", {"e": Fraction(1, 2), "g": Fraction(-2)}),
-    }

@@ -4,6 +4,13 @@ Elements are opaque string tokens.  Range, source, inverse and composition are
 stored as finite dicts, so every axiom can be checked by enumeration.  Values
 are treated as immutable after construction and all operations are pure:
 checkers return reports, they never mutate.
+
+Canonical order lives in the table types: Groupoid, actions.Action and
+systems.FiberSystem sort their dict tables by key once, in __post_init__
+(_sort_tables), so every construction, dataclasses.replace included, stores
+them in sorted key order.  Validators, checkers and the document encoder walk
+that stored order and sort no table again.  Tables are immutable: editing one
+in place is unsupported and may leave it out of order.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ class Groupoid:
 
     ``compose`` is a partial map: it must be defined on exactly the pairs
     (x, y) with source(x) == range(y).  Asking for any other product is a
-    hard error, never a silent None.
+    hard error, never a silent None.  The four maps are stored sorted by key.
     """
 
     elements: frozenset[str]
@@ -88,8 +95,8 @@ class Groupoid:
     inverse_map: dict[str, str]
     compose_map: dict[tuple[str, str], str]
 
-    def inv(self, x: str) -> str:
-        return self.inverse_map[x]
+    def __post_init__(self) -> None:
+        _sort_tables(self, "range_map", "source_map", "inverse_map", "compose_map")
 
     def mul(self, x: str, y: str) -> str:
         try:
@@ -112,6 +119,12 @@ class Groupoid:
         return fib
 
 
+def _sort_tables(obj: object, *names: str) -> None:
+    """Store each named dict table of a frozen dataclass sorted by key; no reader sorts one again."""
+    for name in names:
+        object.__setattr__(obj, name, dict(sorted(getattr(obj, name).items())))
+
+
 def make_groupoid(
     elements: Iterable[str],
     units: Iterable[str],
@@ -120,19 +133,12 @@ def make_groupoid(
     inverse_map: Mapping[str, str],
     compose: Mapping[tuple[str, str], str],
 ) -> Groupoid:
-    """Assemble a Groupoid with canonically sorted tables.
+    """Assemble a Groupoid; Groupoid itself stores the tables sorted.
 
     No axioms are checked here; run validate_groupoid for that.  Keeping the
     factory permissive lets tests build deliberately broken tables.
     """
-    return Groupoid(
-        elements=frozenset(elements),
-        units=frozenset(units),
-        range_map=dict(sorted(range_map.items())),
-        source_map=dict(sorted(source_map.items())),
-        inverse_map=dict(sorted(inverse_map.items())),
-        compose_map=dict(sorted(compose.items())),
-    )
+    return Groupoid(frozenset(elements), frozenset(units), range_map, source_map, inverse_map, compose)
 
 
 def validate_groupoid(G: Groupoid) -> ValidationReport:
@@ -157,7 +163,7 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
         for x in els:
             if x not in m:
                 bad.append(Violation(f"{name} undefined", (f"x={x}",)))
-        for x in sorted(m):
+        for x in m:
             if x not in E:
                 bad.append(Violation(f"{name} key unknown", (f"x={x}",)))
             elif m[x] not in E:
@@ -184,7 +190,7 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
             bad.append(Violation("unit source law", (f"u={u}", f"s(u)={s(u)}")))
 
     # compose must live on exactly the composable pairs
-    for x, y in sorted(C):
+    for x, y in C:
         if x not in E or y not in E:
             bad.append(Violation("compose key unknown", (f"x={x}", f"y={y}")))
             continue
@@ -199,7 +205,7 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
             if (x, y) not in C:
                 bad.append(Violation("compose missing on composable pair", (f"x={x}", f"y={y}")))
 
-    for x, y in sorted(C):
+    for x, y in C:
         xy = C[(x, y)]
         if xy not in E:
             continue

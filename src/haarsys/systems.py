@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import ClassVar, Union
 
-from .groupoids import Groupoid, ValidationReport, Violation, _fibers
+from .groupoids import Groupoid, ValidationReport, Violation, _fibers, _sort_tables
 
 __all__ = [
     "Cutoff",
@@ -108,14 +108,17 @@ class FiberSystem:
 
     The base map sends each point of the total space to its base point; the
     measure at a base point is meant to live on that fiber (check_system
-    verifies it does).
+    verifies it does).  Both maps are stored sorted by key.
     """
 
     base_map: dict[str, str]
     measures: dict[str, Measure]
 
+    def __post_init__(self) -> None:
+        _sort_tables(self, "base_map", "measures")
+
     def domain(self) -> list[str]:
-        return sorted(self.base_map)
+        return list(self.base_map)
 
     def codomain(self) -> list[str]:
         return sorted(set(self.base_map.values()) | set(self.measures))
@@ -128,10 +131,9 @@ class FiberSystem:
 
 
 def fiber_system(base_map: Mapping[str, str], measures: Mapping[str, Measure]) -> FiberSystem:
-    """Assemble a FiberSystem with canonically sorted tables."""
+    """Assemble a FiberSystem from string-coerced keys; FiberSystem itself stores them sorted."""
     return FiberSystem(
-        base_map=dict(sorted((str(k), str(v)) for k, v in base_map.items())),
-        measures=dict(sorted((str(k), m) for k, m in measures.items())),
+        {str(k): str(v) for k, v in base_map.items()}, {str(k): m for k, m in measures.items()}
     )
 
 

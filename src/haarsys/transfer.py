@@ -89,15 +89,14 @@ class PipelineError(ValueError):
 def check_equivariant(A: Action, system: FiberSystem) -> ValidationReport:
     """Check that translating a fiber measure matches the measure at the translated base.
 
-    Walks the action table in sorted (g, z) order, so it checks the pairs the
-    table defines; that these are exactly the pairs with s(g) == moment(z) is
-    validate_action's job.  For each entry the weight of g.z at r(g) must
-    equal the weight of z at s(g).  An arrow with no range or no source is
-    reported once, with check_haar's law name, and its entries are skipped.
-    Weights are compared as (numerator, denominator) pairs of ints, read once
-    per measure, as check_haar does; the lhs/rhs witnesses still print the
-    Fractions.  O(|measures| + |act|) on a table built by the constructors,
-    which is already sorted.
+    Walks the action table in its stored order, which Action keeps sorted by
+    (g, z), so it checks the pairs the table defines; that these are exactly
+    the pairs with s(g) == moment(z) is validate_action's job.  For each
+    entry the weight of g.z at r(g) must equal the weight of z at s(g).  An
+    arrow with no range or no source is reported once, with check_haar's law
+    name, and its entries are skipped.  Weights are compared as (numerator,
+    denominator) pairs of ints, read once per measure, as check_haar does;
+    the lhs/rhs witnesses still print the Fractions.  O(|measures| + |act|).
     """
     if system.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
@@ -109,7 +108,7 @@ def check_equivariant(A: Action, system: FiberSystem) -> ValidationReport:
         for u, m in system.measures.items()
     }
     last = None
-    for (g, z), w in sorted(A.act.items()):
+    for (g, z), w in A.act.items():
         if g != last:  # the entries of one arrow are adjacent in sorted order
             last = g
             r, s = G.range_map.get(g), G.source_map.get(g)
@@ -272,7 +271,7 @@ def principal_haar(G: Groupoid, beta: FiberSystem) -> HaarSystem:
     if witness is not None:
         raise ValueError(f"not principal: non-unit arrow with equal range and source: {witness}")
     orbit = unit_orbit_map(G)
-    if sorted(beta.base_map) != G.sorted_units():
+    if list(beta.base_map) != G.sorted_units():
         raise ValueError("base map must be defined on exactly the units")
     if _partition_reps(beta.base_map) != orbit:
         raise ValueError("base map does not induce the unit orbit partition")

@@ -13,9 +13,11 @@ from fractions import Fraction
 from haarsys import (
     Action,
     Cutoff,
+    Document,
     Equivalence,
     FiberSystem,
     Groupoid,
+    GroupoidFunction,
     HaarSystem,
     Measure,
     blow_up,
@@ -35,7 +37,19 @@ from haarsys import (
     transformation_groupoid,
     unit_orbit_map,
 )
-from haarsys.fixtures import pair_rectangle, self_equivalence, weighted_pair3_haar
+from haarsys.fixtures import (
+    blowup_z2_data,
+    pair2,
+    pair_rectangle,
+    rect32,
+    self_equivalence,
+    swap_action,
+    swap_cutoff,
+    trivial_group,
+    weighted_pair3_haar,
+    z2,
+    z2_skew_system,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +227,7 @@ def corrupt_associativity(G: Groupoid, rng: random.Random) -> Groupoid | None:
     pairs = [
         (x, y)
         for (x, y), xy in sorted(G.compose_map.items())
-        if x not in G.units and y not in G.units and y != G.inv(x)
+        if x not in G.units and y not in G.units and y != G.inverse_map[x]
         and len(hom[(G.range_map[xy], G.source_map[xy])]) > 1
     ]
     if not pairs:
@@ -255,6 +269,17 @@ def relation_column_haar(q: dict[str, str], rng: random.Random) -> HaarSystem:
         for i in sorted(q)
     }
     return make_haar(G, fiber_system(G.range_map, measures), "column weights")
+
+
+def combine(*terms: tuple[Fraction, GroupoidFunction]) -> GroupoidFunction:
+    """The linear combination of (coefficient, function) terms on one groupoid, summed as dicts."""
+    G = terms[0][1].groupoid
+    acc: dict[str, Fraction] = {}
+    for c, f in terms:
+        assert f.groupoid == G, "combine: functions on different groupoids"
+        for x, v in f.items():
+            acc[x] = acc.get(x, 0) + c * v
+    return GroupoidFunction(G, acc)
 
 
 def random_haar_for(G: Groupoid, rng: random.Random) -> HaarSystem:
@@ -457,6 +482,44 @@ def colliding_tokens_equivalence() -> Equivalence:
     ract = {(z, pair_arrow(z, w)): w for z in pts for w in pts}
     right = right_action(pair_groupoid(pts), pts, {z: pair_arrow(z, z) for z in pts}, ract)
     return Equivalence(left, right)
+
+
+def pair2_point_equivalence() -> Equivalence:
+    """The two points linking the pair groupoid of {1,2} to the trivial group."""
+    G = pair2()
+    H = trivial_group()
+    carrier = ["1", "2"]
+    left = left_action(
+        G,
+        carrier,
+        {p: pair_arrow(p, p) for p in carrier},
+        {(pair_arrow(u, v), v): u for u in carrier for v in carrier},
+    )
+    right = right_action(
+        H, carrier, {p: "e" for p in carrier}, {(p, "e"): p for p in carrier}
+    )
+    return Equivalence(left, right)
+
+
+# ---------------------------------------------------------------------------
+# documents
+
+
+def fixture_corpus() -> dict[str, Document]:
+    """One parsed document per serializable kind, for round-trip checks."""
+    E = rect32()
+    return {
+        "groupoid-pair2": Document("groupoid", pair2()),
+        "groupoid-z2": Document("groupoid", z2()),
+        "groupoid-blowup-z2": Document("groupoid", blow_up(*blowup_z2_data()[:2])),
+        "system-weighted-pair3": Document("system", weighted_pair3_haar().system),
+        "system-z2-skew": Document("system", z2_skew_system()),
+        "action-swap": Document("action", swap_action()),
+        "action-rect32-right": Document("action", E.right),
+        "equivalence-rect32": Document("equivalence", E),
+        "cutoff-swap": Document("cutoff", swap_cutoff()),
+        "function-z2": Document("function", {"e": Fraction(1, 2), "g": Fraction(-2)}),
+    }
 
 
 # ---------------------------------------------------------------------------

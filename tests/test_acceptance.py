@@ -53,7 +53,6 @@ from haarsys import (
 )
 from haarsys.cli import main
 from haarsys.fixtures import (
-    fixture_corpus,
     pair3,
     rect32,
     swap_action,
@@ -526,7 +525,7 @@ def test_criterion_9_cli(acceptance_report, tmp_path, capsys):
         if runs[0] == runs[1] and runs[0]:
             stable += 1
 
-    corpus = fixture_corpus()
+    corpus = generators.fixture_corpus()
     round_trips = sum(
         1 for doc in corpus.values() if parse(serialize(doc)) == doc
     )

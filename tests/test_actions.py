@@ -49,7 +49,7 @@ def test_swap_action_is_valid_and_free():
     A = swap_action()
     assert validate_action(A).passed
     assert is_free(A)
-    assert A.apply("g", "z1") == "z2"
+    assert A.act[("g", "z1")] == "z2"
 
 
 def test_trivial_action_is_valid_but_not_free():
@@ -121,7 +121,8 @@ def test_right_action_application_reads_the_presented_table():
         {("x1", "e"): "x1", ("x2", "e"): "x2", ("x1", "g"): "x2", ("x2", "g"): "x1"},
     )
     assert A.side == "right"
-    assert A.apply_right("x1", "g") == "x2"
+    # stored as g^-1 acting on x1; g is its own inverse
+    assert A.act[(A.groupoid.inverse_map["g"], "x1")] == "x2"
     assert validate_action(A).passed
 
 
@@ -140,7 +141,7 @@ def test_opposite_of_right_translation_acts_by_inverses():
     A = opposite(right_translation_action(G))
     for g in G.sorted_elements():
         for z in G.sorted_elements():
-            assert A.apply(g, z) == G.compose_map[(z, G.inverse_map[g])]
+            assert A.act[(g, z)] == G.compose_map[(z, G.inverse_map[g])]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +479,7 @@ def test_imprimitivity_iso_matches_its_definition_on_both_sides_of_random_equiva
                 (h,) = [
                     h
                     for h in H.elements
-                    if H.range_map[h] == sigma[x] and E.right.apply_right(x, h) == y
+                    if H.range_map[h] == sigma[x] and E.right.act[(H.inverse_map[h], x)] == y
                 ]
                 assert iso[c] == h
             assert set(iso) == set(labeling.values())

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from generators import colliding_tokens_equivalence, off_unit_family
+from generators import colliding_tokens_equivalence, fixture_corpus, off_unit_family
 from haarsys import (
     Action,
     Document,
@@ -19,13 +19,13 @@ from haarsys import (
     fiber_system,
     full_fiber_system,
     make_groupoid,
+    pair_groupoid,
     parse,
     relation_groupoid,
     serialize,
 )
 from haarsys.cli import main
 from haarsys.fixtures import (
-    fixture_corpus,
     pair2,
     pair3,
     trivial_group,
@@ -142,6 +142,23 @@ def test_validate_every_corpus_document_exits_cleanly(tmp_path, capsys):
         path = write_doc(tmp_path, f"{name}.json", doc)
         assert main(["validate", path]) == 0, name
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, notes",
+    [
+        (
+            "cutoff-swap",
+            ["compact support: vacuous (finite discrete)", "defining property verified at construction"],
+        ),
+        ("function-z2", ["signed rational values: nothing further to check"]),
+    ],
+    ids=["cutoff", "function"],
+)
+def test_validate_prints_the_notes_of_a_cutoff_or_function_document(name, notes, tmp_path, capsys):
+    path = write_doc(tmp_path, f"{name}.json", CORPUS[name])
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == "status: PASS\n" + "".join(f"note: {n}\n" for n in notes)
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -380,6 +397,16 @@ def test_blowup_map_file_keeps_its_path_on_bad_json(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {fm}: invalid JSON: {problem}\n"
 
 
+@pytest.mark.parametrize("text", ['["z1", "z2"]', '{"z1": "e", "z2": 1}'], ids=["array", "non-string"])
+def test_blowup_map_file_must_map_points_to_unit_tokens(text, tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", Document("groupoid", z2()))
+    fm = tmp_path / "map.json"
+    fm.write_text(text)
+    beta = write_doc(tmp_path, "beta.json", _blow_beta())
+    assert main(["blowup", "--groupoid", g, "--map", str(fm), "--fsystem", beta]) == 2
+    assert capsys.readouterr().err == f"error: {fm}: expected an object mapping points to unit tokens\n"
+
+
 def _trivial_point_action():
     """z2 acting trivially on one point: a valid action that is not free."""
     from haarsys import left_action
@@ -494,6 +521,16 @@ def test_assoc_check_fails_on_a_measure_keyed_off_the_units(tmp_path, capsys):
     assert captured.out == ""
     witness = "family supported off its range fiber: unit=pair:1,2 element=pair:1,3"
     assert captured.err == f"error: {witness}\n"
+
+
+def test_assoc_check_accepts_a_single_trial(tmp_path, capsys):
+    G = pair_groupoid(["1", "2", "3", "4"])
+    g = write_doc(tmp_path, "g.json", Document("groupoid", G))
+    s = write_doc(tmp_path, "s.json", Document("system", counting_haar(G).system))
+    assert main(["assoc-check", "--groupoid", g, "--system", s, "--trials", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "status: PASS\nnote: mode: randomized (1 signed-combination triples, seed 0)\n"
+    )
 
 
 @pytest.mark.parametrize("trials", ["0", "-3", "two"])

@@ -50,8 +50,9 @@ def test_function_rejects_foreign_points():
 def test_function_algebra():
     f = GroupoidFunction(z2(), {"e": 1})
     h = GroupoidFunction(z2(), {"e": 2, "g": 1})
-    assert f.plus(h).value("e") == 3
-    assert f.scaled(-2).value("e") == -2
+    assert gen.combine((1, f), (1, h)).value("e") == 3
+    assert gen.combine((-2, f)).value("e") == -2
+    assert gen.combine((2, f), (-1, h)) == GroupoidFunction(z2(), {"g": -1})
     assert delta(z2(), "g") == GroupoidFunction(z2(), {"g": 1})
 
 
@@ -63,11 +64,6 @@ def test_functions_differing_in_a_value_a_key_or_the_groupoid_are_unequal():
     assert f != GroupoidFunction(pair3(), {"pair:1,1": 1, "pair:1,2": -2})
     assert GroupoidFunction(pair2(), {}) != GroupoidFunction(z2(), {})
     assert f != {"pair:1,1": 1, "pair:1,2": -2}
-
-
-def test_function_addition_requires_one_groupoid():
-    with pytest.raises(ValueError):
-        GroupoidFunction(z2(), {"e": 1}).plus(GroupoidFunction(pair2(), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +200,8 @@ def test_convolution_is_bilinear_on_samples():
         f = GroupoidFunction(pair2(), {rng.choice(els): Fraction(rng.randint(-2, 2))})
         h = GroupoidFunction(pair2(), {rng.choice(els): Fraction(rng.randint(-2, 2))})
         k = GroupoidFunction(pair2(), {rng.choice(els): Fraction(rng.randint(-2, 2))})
-        lhs = convolve(f.plus(h.scaled(3)), k, lam)
-        rhs = convolve(f, k, lam).plus(convolve(h, k, lam).scaled(3))
+        lhs = convolve(gen.combine((1, f), (3, h)), k, lam)
+        rhs = gen.combine((1, convolve(f, k, lam)), (3, convolve(h, k, lam)))
         assert lhs == rhs
 
 
@@ -256,6 +252,13 @@ def test_oracle_randomizes_beyond_the_exhaustive_limit():
     report = associativity_oracle(G, counting_haar(G), trials=16, seed=3)
     assert report.passed
     assert report.notes == ("mode: randomized (16 signed-combination triples, seed 3)",)
+
+
+def test_oracle_runs_a_single_trial():
+    G = pair_groupoid(["1", "2", "3", "4"])
+    report = associativity_oracle(G, counting_haar(G), trials=1)
+    assert report.passed
+    assert report.notes == ("mode: randomized (1 signed-combination triples, seed 0)",)
 
 
 @pytest.mark.parametrize("trials", [0, -3])

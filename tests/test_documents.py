@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from generators import fixture_corpus
 from haarsys import (
     Document,
     Measure,
@@ -20,7 +21,7 @@ from haarsys import (
 )
 from haarsys import cli
 from haarsys.documents import SCHEMA_VERSION, _emit
-from haarsys.fixtures import fixture_corpus, pair2, z2
+from haarsys.fixtures import pair2, z2
 
 
 def payload(doc_text):
@@ -269,6 +270,13 @@ def test_repeated_carrier_point_fails_instead_of_merging():
 
 def test_repeated_object_key_fails_naming_it():
     text = serialize(Document("groupoid", z2())).replace('"range": {', '"range": {"g": "g", ', 1)
+    with pytest.raises(SchemaError) as err:
+        parse(text)
+    assert str(err.value) == "duplicate key: 'g'"
+
+
+def test_repeated_object_key_is_named_when_another_key_comes_first():
+    text = '{"version": 1, "kind": "function", "values": {"e": "1", "g": "2", "g": "3"}}'
     with pytest.raises(SchemaError) as err:
         parse(text)
     assert str(err.value) == "duplicate key: 'g'"

@@ -19,9 +19,9 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from generators import fixture_corpus
 from haarsys import serialize
 from haarsys.cli import main
-from haarsys.fixtures import fixture_corpus
 
 FIELDS = ("range", "source", "inverse", "compose", "moment", "table")
 CORPUS = {name: json.loads(serialize(doc)) for name, doc in fixture_corpus().items()}

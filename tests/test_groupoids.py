@@ -73,7 +73,7 @@ def test_pair_arrow_structure():
     x = pair_arrow("1", "2")
     y = pair_arrow("2", "3")
     assert G.mul(x, y) == pair_arrow("1", "3")
-    assert G.inv(x) == pair_arrow("2", "1")
+    assert G.inverse_map[x] == pair_arrow("2", "1")
     assert G.range_map[x] == pair_arrow("1", "1")
     assert G.source_map[x] == pair_arrow("2", "2")
 

@@ -154,11 +154,11 @@ def test_convolution_is_bilinear(seed, a, b):
         )
 
     f, g, h = rand_fn(), rand_fn(), rand_fn()
-    left = convolve(f.scaled(a).plus(g.scaled(b)), h, lam)
-    right = convolve(f, h, lam).scaled(a).plus(convolve(g, h, lam).scaled(b))
+    left = convolve(generators.combine((a, f), (b, g)), h, lam)
+    right = generators.combine((a, convolve(f, h, lam)), (b, convolve(g, h, lam)))
     assert left == right
-    left2 = convolve(h, f.scaled(a).plus(g.scaled(b)), lam)
-    right2 = convolve(h, f, lam).scaled(a).plus(convolve(h, g, lam).scaled(b))
+    left2 = convolve(h, generators.combine((a, f), (b, g)), lam)
+    right2 = generators.combine((a, convolve(h, f, lam)), (b, convolve(h, g, lam)))
     assert left2 == right2
 
 

@@ -54,7 +54,6 @@ from haarsys import (
 from haarsys.fixtures import (
     pair2,
     pair3,
-    pair2_point_equivalence,
     rect32,
     self_equivalence,
     swap_action,
@@ -524,7 +523,7 @@ def test_transfer_across_self_equivalence_passes():
 
 
 def test_transfer_to_a_point_gives_a_single_mass():
-    E = pair2_point_equivalence()
+    E = gen.pair2_point_equivalence()
     out = transfer_haar(pair2(), counting_haar(pair2()), E)
     H = out.groupoid
     assert len(H.elements) == 1
