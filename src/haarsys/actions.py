@@ -5,13 +5,17 @@ the pairs with source(g) == moment(z).  A right action keeps its meaning
 through the side tag; its stored table is the translated left action
 g.z := z.inv(g), so one code path serves both orientations and flipping the
 tag is an involution.  Action stores its moment and table sorted by key
-(groupoids._sort_tables), and the validators walk them in that order.
+(groupoids._sort_tables), and the validators walk them in that order.  Its
+derived indexes (table laws, orbit map, translators, imprimitivity classes)
+are cached once per object, like Groupoid's fibers; editing a table in place
+is unsupported.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groupoids import (
     Groupoid,
@@ -67,11 +71,62 @@ class Action:
     def sorted_carrier(self) -> list[str]:
         return sorted(self.carrier)
 
+    @cached_property
+    def _laws(self) -> ValidationReport:
+        """The moment, domain and carrier laws, in report order: O(|Z| + |G| + |act|).
+
+        Every carrier point has a unit as its moment and nothing else does; the
+        table is defined on exactly the pairs with source(g) == moment(z); every
+        value lies in the carrier.  Only the domain witnesses are sorted.
+        """
+        bad: list[Violation] = []
+        G = self.groupoid
+        car = self.carrier
+        for z in self.sorted_carrier():
+            if z not in self.moment:
+                bad.append(Violation("moment undefined", (f"z={z}",)))
+            elif self.moment[z] not in G.units:
+                bad.append(Violation("moment not a unit", (f"z={z}", f"value={self.moment[z]}")))
+        for z in self.moment:
+            if z not in car:
+                bad.append(Violation("moment key off carrier", (f"z={z}",)))
+
+        expected = _action_domain(G, car, self.moment)
+        for key in sorted(set(self.act) - expected):
+            bad.append(Violation("domain", (f"g={key[0]}", f"z={key[1]}", "off the composable pairs")))
+        for key in sorted(expected - set(self.act)):
+            bad.append(Violation("domain", (f"g={key[0]}", f"z={key[1]}", "missing")))
+        for key, value in self.act.items():
+            if value not in car:
+                bad.append(Violation("carrier", (f"g={key[0]}", f"z={key[1]}", f"value={value}")))
+        return ValidationReport(tuple(bad))
+
+    @cached_property
+    def _orbits(self) -> dict[str, str]:
+        """Least-token representative of each orbit of the carrier."""
+        return _edge_components(self.sorted_carrier(), ((z, w) for (_, z), w in self.act.items()))
+
+    @cached_property
+    def _translators(self) -> dict[tuple[str, str], str]:
+        """The map (z, g.z) -> g of a free action, where freeness makes g unique: O(|act|)."""
+        return {(z, w): g for (g, z), w in self.act.items()}
+
+    @cached_property
+    def _classes(self) -> tuple[Groupoid, dict[str, tuple[str, str]]]:
+        """The imprimitivity groupoid and class -> least pair; read once checked valid and free."""
+        act = self.act
+        imp, tok = _pullback(
+            self.groupoid,
+            {x0: self.moment[x0] for x0 in set(self._orbits.values())},
+            lambda x, g, y: f"imp:{x}|{act[(g, y)]}",
+            "tokens collide under imprimitivity naming",
+        )
+        return imp, {c: (x, act[(g, y)]) for (x, g, y), c in tok.items()}
+
 
 def _action_domain(G: Groupoid, carrier, moment: Mapping[str, str]) -> set[tuple[str, str]]:
     """The pairs (g, z) with source(g) == moment(z): where an action table must be defined."""
-    sfib = _fibers(G.elements, G.source_map.get)
-    return {(g, z) for z in carrier for g in sfib.get(moment.get(z), ())}
+    return {(g, z) for z in carrier for g in G._sfib.get(moment.get(z), ())}
 
 
 def left_action(
@@ -89,7 +144,7 @@ def left_action(
     act = {(str(g), str(z)): str(w) for (g, z), w in table.items()}
     moment = {str(z): str(u) for z, u in moment.items()}
     A = Action(groupoid, frozenset(map(str, carrier)), moment, act)
-    _table_laws(A).require("invalid action")
+    A._laws.require("invalid action")
     return A
 
 
@@ -115,7 +170,7 @@ def right_action(
         act[(inv[g], z)] = w
     moment = {str(z): str(u) for z, u in moment.items()}
     A = Action(groupoid, frozenset(map(str, carrier)), moment, act, "right")
-    _table_laws(A).require("invalid action")
+    A._laws.require("invalid action")
     return A
 
 
@@ -139,37 +194,6 @@ def _unfree_pair(A: Action) -> tuple[str, str] | None:
     return min(((g, z) for (g, z), w in A.act.items() if w == z and g != A.moment.get(z)), default=None)
 
 
-def _table_laws(A: Action) -> ValidationReport:
-    """The moment, domain and carrier laws of an action table, in report order.
-
-    Every carrier point has a unit as its moment and nothing else does; the
-    table is defined on exactly the pairs with source(g) == moment(z); every
-    value lies in the carrier.  The stored tables are walked in their sorted
-    order; only the domain witnesses are sorted: O(|Z| + |G| + |act|).
-    """
-    bad: list[Violation] = []
-    G = A.groupoid
-    car = A.carrier
-    for z in A.sorted_carrier():
-        if z not in A.moment:
-            bad.append(Violation("moment undefined", (f"z={z}",)))
-        elif A.moment[z] not in G.units:
-            bad.append(Violation("moment not a unit", (f"z={z}", f"value={A.moment[z]}")))
-    for z in A.moment:
-        if z not in car:
-            bad.append(Violation("moment key off carrier", (f"z={z}",)))
-
-    expected = _action_domain(G, car, A.moment)
-    for key in sorted(set(A.act) - expected):
-        bad.append(Violation("domain", (f"g={key[0]}", f"z={key[1]}", "off the composable pairs")))
-    for key in sorted(expected - set(A.act)):
-        bad.append(Violation("domain", (f"g={key[0]}", f"z={key[1]}", "missing")))
-    for key, value in A.act.items():
-        if value not in car:
-            bad.append(Violation("carrier", (f"g={key[0]}", f"z={key[1]}", f"value={value}")))
-    return ValidationReport(tuple(bad))
-
-
 def validate_action(A: Action) -> ValidationReport:
     """Check the action laws; freeness is reported in the notes, not enforced.
 
@@ -178,7 +202,7 @@ def validate_action(A: Action) -> ValidationReport:
     walk over the table, and compatibility walks fibers, not G x G x Z:
     O(|Z| + |G| + |act| + composable pairs x moment-fiber size).
     """
-    bad = list(_table_laws(A).violations)
+    bad = list(A._laws.violations)
     G = A.groupoid
     car = A.carrier
     mom = A.moment.get
@@ -195,10 +219,9 @@ def validate_action(A: Action) -> ValidationReport:
             bad.append(Violation("moment of translate", (f"g={g}", f"z={z}", f"moment={mom(w)}")))
 
     # compatibility: (gh).z == g.(h.z) whenever source(g) == range(h)
-    rfib = _fibers(G.sorted_elements(), G.range_map.get)
     mfib = _fibers(A.sorted_carrier(), mom)
     for g in G.sorted_elements():
-        for h in rfib.get(G.source_map.get(g), ()):
+        for h in G._rfib.get(G.source_map.get(g), ()):
             gh = G.compose_map.get((g, h))
             if gh is None:
                 continue
@@ -213,16 +236,10 @@ def validate_action(A: Action) -> ValidationReport:
     return ValidationReport(tuple(bad), (f"free: {free}", PROPERNESS_NOTE))
 
 
-def _orbit_reps(A: Action) -> dict[str, str]:
-    """Least-token representative of each orbit of the carrier."""
-    return _edge_components(A.sorted_carrier(), ((z, w) for (_, z), w in A.act.items()))
-
-
 def orbit_space(A: Action) -> tuple[tuple[str, ...], dict[str, str]]:
     """Quotient of the carrier by the action: (representatives, quotient map)."""
     validate_action(A).require("invalid action")
-    rep = _orbit_reps(A)
-    return tuple(sorted(set(rep.values()))), rep
+    return tuple(sorted(set(A._orbits.values()))), dict(A._orbits)
 
 
 def left_translation_action(G: Groupoid) -> Action:
@@ -323,17 +340,12 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
 
     # each moment map reaches every unit, and each of its fibers is one orbit of the other action
     for A, B in ((E.left, E.right), (E.right, E.left)):
-        orbits = _orbit_reps(B)
         seen: dict[str, str] = {}
-        for z in sorted(E.carrier):
-            rep, value = orbits[z], A.moment[z]
+        for z, rep in B._orbits.items():  # the carrier, in sorted order
+            value = A.moment[z]
             if value in seen and seen[value] != rep:
-                bad.append(
-                    Violation(
-                        f"{B.side} action not transitive on {A.side}-moment fiber",
-                        (f"unit={value}", f"orbit={seen[value]}", f"orbit={rep}"),
-                    )
-                )
+                law = f"{B.side} action not transitive on {A.side}-moment fiber"
+                bad.append(Violation(law, (f"unit={value}", f"orbit={seen[value]}", f"orbit={rep}")))
                 seen[value] = min(seen[value], rep)
             else:
                 seen[value] = rep
@@ -341,10 +353,6 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
             bad.append(Violation(f"{A.side} moment not surjective", (f"unit={u}",)))
 
     return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
-
-
-def _pair_token(x: str, y: str) -> str:
-    return f"imp:{x}|{y}"
 
 
 def imprimitivity_groupoid(A: Action) -> tuple[Groupoid, dict[tuple[str, str], str]]:
@@ -365,29 +373,12 @@ def imprimitivity_groupoid(A: Action) -> tuple[Groupoid, dict[tuple[str, str], s
     validate_action(A).require("invalid action")
     if not is_free(A):
         raise ValueError("imprimitivity groupoid needs a free action")
-    imp, class_rep = _imprimitivity(A, _orbit_reps(A))
-    return imp, _labeling(A, class_rep)
+    return A._classes[0], _labeling(A)
 
 
-def _imprimitivity(A: Action, orbit: dict[str, str]) -> tuple[Groupoid, dict[str, tuple[str, str]]]:
-    """imprimitivity_groupoid of a valid free action, given its orbit map, and class -> least pair.
-
-    The pullback of G along the moment map on the representatives; the triple
-    (x0, g, y0) is the class whose least pair is (x0, g.y0).
-    """
-    act = A.act
-    imp, tok = _pullback(
-        A.groupoid,
-        {x0: A.moment[x0] for x0 in set(orbit.values())},
-        lambda x, g, y: _pair_token(x, act[(g, y)]),
-        "tokens collide under imprimitivity naming",
-    )
-    return imp, {c: (x, act[(g, y)]) for (x, g, y), c in tok.items()}
-
-
-def _labeling(A: Action, class_rep: dict[str, tuple[str, str]]) -> dict[tuple[str, str], str]:
+def _labeling(A: Action) -> dict[tuple[str, str], str]:
     """Each equal-moment pair, in order, with its class: [x0, z] holds (g.x0, g.z) for s(g) = moment(x0)."""
-    act, sfib = A.act, _fibers(A.groupoid.sorted_elements(), A.groupoid.source_map.get)
+    act, sfib, class_rep = A.act, A.groupoid._sfib, A._classes[1]
     pairs = (((act[(g, x)], act[(g, z)]), c) for c, (x, z) in class_rep.items() for g in sfib[A.moment[x]])
     return dict(sorted(pairs))
 
@@ -408,26 +399,19 @@ def imprimitivity_iso(
         # an invalid left action keeps the message imprimitivity_groupoid gives it
         validate_action(E.left).require("invalid action")
         report.require("invalid equivalence")
-    imp, class_rep = _imprimitivity(E.left, _orbit_reps(E.left))
-    return imp, _labeling(E.left, class_rep), _class_translation(E, imp, class_rep)
+    return E.left._classes[0], _labeling(E.left), _class_translation(E)
 
 
-def _translators(A: Action) -> dict[tuple[str, str], str]:
-    """The map (z, g.z) -> g of a free action, where freeness makes g unique: O(|act|)."""
-    return {(z, w): g for (g, z), w in A.act.items()}
-
-
-def _class_translation(
-    E: Equivalence, imp: Groupoid, class_rep: dict[str, tuple[str, str]]
-) -> dict[str, str]:
-    """The iso of imprimitivity_iso, for a checked equivalence and its imprimitivity groupoid.
+def _class_translation(E: Equivalence) -> dict[str, str]:
+    """The iso of imprimitivity_iso, for a checked equivalence, from its left imprimitivity groupoid.
 
     The class with least pair (x, y) goes to the unique h with x.h == y: the
     right table is stored as (inv(h), z) -> z.h, so h inverts the right
     action's translator of (x, y).  O(|act| + composable pairs of classes).
     """
     H = E.right.groupoid
-    translator = _translators(E.right)
+    imp, class_rep = E.left._classes
+    translator = E.right._translators
     iso = {c: H.inverse_map[translator[class_rep[c]]] for c in imp.sorted_elements()}
 
     if sorted(iso.values()) != H.sorted_elements():

@@ -48,9 +48,10 @@ PHI_DEFAULT_NOTE = "indicator of canonical orbit representatives (default)"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8: invalid byte at offset {exc.start}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -243,6 +244,12 @@ def _load_json(text: str) -> object:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
+    except SchemaError:
+        raise
+    except ValueError:  # the only other error json.loads raises: an integer past the digit limit
+        raise SchemaError(f"invalid JSON: integer with over {sys.get_int_max_str_digits()} digits") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -364,7 +371,10 @@ def _rational(value: object, where: str) -> Fraction:
         raise _fail(where, "decimal numbers are not exact; write the rational as a \"p/q\" string")
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         p, _, q = value.partition("/")
-        return Fraction(int(p), int(q or 1))
+        try:
+            return Fraction(int(p), int(q or 1))
+        except ValueError:
+            raise _fail(where, f"integer with over {sys.get_int_max_str_digits()} digits") from None
     raise _fail(where, f"not a rational \"p/q\" string: {value!r}")
 
 

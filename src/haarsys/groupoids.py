@@ -9,14 +9,17 @@ Canonical order lives in the table types: Groupoid, actions.Action and
 systems.FiberSystem sort their dict tables by key once, in __post_init__
 (_sort_tables), so every construction, dataclasses.replace included, stores
 them in sorted key order.  Validators, checkers and the document encoder walk
-that stored order and sort no table again.  Tables are immutable: editing one
-in place is unsupported and may leave it out of order.
+that stored order and sort no table again.  Derived indexes (fibers, orbit
+maps, an action's table laws) are cached_property attributes, built once per
+object; a dataclasses.replace copy starts with none.  Tables are immutable:
+editing one in place is unsupported and may leave it out of order or stale.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "CompositionError",
@@ -114,9 +117,18 @@ class Groupoid:
         return sorted(x for x in self.elements if self.range_map.get(x) == u)
 
     def range_fibers(self) -> dict[str, list[str]]:
-        fib: dict[str, list[str]] = {u: [] for u in self.sorted_units()}
-        fib.update(_fibers(self.sorted_elements(), lambda x: self.range_map.get(x, "")))
-        return fib
+        fib = _fibers(self.sorted_elements(), lambda x: self.range_map.get(x, ""))
+        return {u: [] for u in self.sorted_units()} | fib
+
+    @cached_property
+    def _rfib(self) -> dict:
+        """Elements by range, in sorted order; an arrow with no range groups under None."""
+        return _fibers(self.sorted_elements(), self.range_map.get)
+
+    @cached_property
+    def _sfib(self) -> dict:
+        """Elements by source, in sorted order; an arrow with no source groups under None."""
+        return _fibers(self.sorted_elements(), self.source_map.get)
 
 
 def _sort_tables(obj: object, *names: str) -> None:
@@ -199,7 +211,7 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
         if C[(x, y)] not in E:
             bad.append(Violation("compose value unknown", (f"x={x}", f"y={y}", f"value={C[(x, y)]}")))
 
-    rfib = _fibers(els, r)
+    rfib = G._rfib
     for x in els:
         for y in rfib.get(s(x), ()):
             if (x, y) not in C:
@@ -237,7 +249,7 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
         if inv(xi) != x:
             bad.append(Violation("double inverse law", (f"x={x}", f"inv(inv(x))={inv(xi)}")))
 
-    if not bad and _associative_on_generators(els, C, r, s):
+    if not bad and _associative_on_generators(els, C, r, s, rfib, G._sfib):
         return ValidationReport()
     get = C.get
     for x in els:
@@ -288,21 +300,19 @@ def _fibers(points: Iterable, key: Callable) -> dict:
 
 
 def _associative_on_generators(
-    els: list[str], C: Mapping[tuple[str, str], str], r: Callable, s: Callable
+    els: list[str], C: Mapping[tuple[str, str], str], r: Callable, s: Callable, rfib: dict, sfib: dict
 ) -> bool:
     """Light's associativity test on a table that meets every other law.
 
-    C must be defined exactly on the pairs (x, y) with s(x) == r(y), with
-    r(xy) == r(x) and s(xy) == s(y).  Let S be the arrows g with
-    (xg)y == x(gy) for every x with s(x) == r(g) and every y with
-    r(y) == s(g).  S is closed under composition: for g, h in S,
-    (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y).  So C is
+    rfib and sfib group els by r and s.  C must be defined exactly on the
+    pairs (x, y) with s(x) == r(y), with r(xy) == r(x) and s(xy) == s(y).
+    Let S be the arrows g with (xg)y == x(gy) for every x with s(x) == r(g)
+    and every y with r(y) == s(g).  S is closed under composition: for g, h
+    in S, (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y).  So C is
     associative exactly when a set of arrows whose left-bracketed products
     reach every arrow lies in S.  Generators are picked greedily in els
     order: an arrow becomes one when the products so far miss it.
     """
-    rfib = _fibers(els, r)
-    sfib = _fibers(els, s)
     reached: set[str] = set()
     gens: dict[str, list[str]] = {}
     for g in els:
@@ -399,7 +409,7 @@ def group_as_groupoid(table: Mapping[tuple[str, str], str]) -> Groupoid:
                 raise ValueError(f"multiplication table not total: missing ({a}, {b})")
     # a total table is a groupoid table with one unit, where every pair composes
     one = dict.fromkeys(els, "")
-    if not _associative_on_generators(els, t, one.get, one.get):
+    if not _associative_on_generators(els, t, one.get, one.get, {"": els}, {"": els}):
         for a in els:
             for b in els:
                 for c in els:
@@ -523,7 +533,7 @@ def stability_group(G: Groupoid, v: str) -> tuple[Groupoid, tuple[str, ...]]:
     """
     if v not in G.units:
         raise ValueError(f"not a unit: {v}")
-    carrier = tuple(sorted(x for x in G.elements if G.source_map.get(x) == v))
+    carrier = tuple(G._sfib.get(v, ()))
     members = [x for x in carrier if G.range_map.get(x) == v]
     inverse = {}
     compose = {}
@@ -576,19 +586,18 @@ def _pullback(
 
     f maps a new unit space into G's units; (z, g, w)(w, g', v) = (z, gg', v).
     It builds pair_groupoid, relation_groupoid, blow_up and the imprimitivity
-    groupoid of a free action (actions._imprimitivity).
+    groupoid of a free action (actions.Action._classes).
     name(z, g, w) formats each triple's token once; tokens must not collide
     (else ValueError(collision)).  G is not validated: an inverse or product
     that is not a triple is still named, and a missing entry raises blow_up's
     one-line ValueError (every inverse is checked before any product).
     """
     zs = sorted(f)
-    rfib = _fibers(G.sorted_elements(), G.range_map.get)
     over = _fibers(zs, f.get)
     tok = {
         (z, g, w): name(z, g, w)
         for z in zs
-        for g in rfib.get(f[z], ())
+        for g in G._rfib.get(f[z], ())
         for w in over.get(G.source_map.get(g), ())
     }
     if len(set(tok.values())) != len(tok):

@@ -9,7 +9,7 @@ in their notes instead of pretending to test it.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import ClassVar, Union

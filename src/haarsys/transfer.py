@@ -19,8 +19,6 @@ from .actions import (
     Equivalence,
     _action_domain,
     _class_translation,
-    _imprimitivity,
-    _orbit_reps,
     is_free,
     left_action,
     opposite_equivalence,
@@ -156,7 +154,7 @@ def psi_phi(
     if beta.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
     validate_action(A).require("invalid action")
-    _require_cutoff_matches(phi, _orbit_reps(A), "averaging weight")
+    _require_cutoff_matches(phi, A, "averaging weight")
     values = {str(z): as_fraction(v, f"f({z})") for z, v in f.items()}
     G = A.groupoid
     out = {g: ZERO for g in G.sorted_elements()}
@@ -165,11 +163,11 @@ def psi_phi(
     return out
 
 
-def _require_cutoff_matches(phi: Cutoff, orbit: dict[str, str], context: str) -> None:
+def _require_cutoff_matches(phi: Cutoff, A: Action, context: str) -> None:
     """Check phi's quotient against a valid action's orbit map, which is its own _partition_reps."""
-    if set(phi.quotient_map) != set(orbit):
+    if set(phi.quotient_map) != set(A._orbits):
         raise ValueError(f"{context}: cut-off quotient domain differs from the carrier")
-    if _partition_reps(phi.quotient_map) != orbit:
+    if _partition_reps(phi.quotient_map) != A._orbits:
         raise ValueError(f"{context}: cut-off quotient does not induce the orbit partition")
 
 
@@ -199,7 +197,7 @@ def average_system(
     if beta.base_map != A.moment:
         raise ValueError("base map mismatch: expected the moment map of the action")
     check_system(beta).require("not a full system")
-    _require_cutoff_matches(phi, _orbit_reps(A), "averaging weight")
+    _require_cutoff_matches(phi, A, "averaging weight")
     return _average(lam, A, beta, phi)
 
 
@@ -328,7 +326,7 @@ def imprimitivity_haar(A: Action, nu: FiberSystem) -> HaarSystem:
         raise ValueError("base map mismatch: expected the moment map of the action")
     check_system(nu).require("not a full system")
     check_equivariant(A, nu).require("not equivariant")
-    imp, class_rep = _imprimitivity(A, _orbit_reps(A))
+    imp, class_rep = A._classes
     return make_haar(imp, _induce(A, nu, imp, class_rep), "imprimitivity system")
 
 
@@ -393,17 +391,15 @@ def transfer_haar(
             raise ValueError("base map mismatch: expected the left moment map")
         check_system(beta).require("not a full system")
         stage = "phi"
-        orbit = _orbit_reps(E.left)
-        phi = representative_cutoff(orbit) if phi is None else phi
-        _require_cutoff_matches(phi, orbit, "cut-off")
+        phi = representative_cutoff(E.left._orbits) if phi is None else phi
+        _require_cutoff_matches(phi, E.left, "cut-off")
         stage = "average"
         nu = _average(lam, E.left, beta, phi)
         stage = "imprimitivity"
-        imp, class_rep = _imprimitivity(E.left, orbit)
-        iso = _class_translation(E, imp, class_rep)
+        iso = _class_translation(E)
         stage = "induction"
         H = E.right.groupoid
-        induced = _induce(E.left, nu, H, {iso[c]: pair for c, pair in class_rep.items()})
+        induced = _induce(E.left, nu, H, {iso[c]: pair for c, pair in E.left._classes[1].items()})
         return make_haar(H, induced, "transferred system")
     except ValueError as exc:
         raise PipelineError(stage, str(exc)) from exc

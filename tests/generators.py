@@ -21,7 +21,6 @@ from haarsys import (
     HaarSystem,
     Measure,
     blow_up,
-    counting_haar,
     fiber_system,
     full_fiber_system,
     group_as_groupoid,

@@ -41,7 +41,6 @@ from haarsys import (
     pair_groupoid,
     parse,
     principal_haar,
-    relation_groupoid,
     serialize,
     stability_group,
     transfer_haar,

@@ -128,6 +128,33 @@ def test_validate_missing_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_bytes_that_are_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "z2.json"
+    path.write_bytes(b'{"version": 1, "kind": "gro\xffupoid"}')
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8: invalid byte at offset 27\n"
+
+
+def test_validate_json_nested_100000_deep_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "value, problem",
+    [("7" * 5000, "invalid JSON"), ('"1/' + "7" * 5000 + '"', "field 'values.a'")],
+    ids=["json-integer", "rational-string"],
+)
+def test_validate_5000_digit_integer_exits_two(tmp_path, capsys, value, problem):
+    path = tmp_path / "f.json"
+    path.write_text('{"version": 1, "kind": "function", "values": {"a": %s}}' % value)
+    assert main(["validate", str(path)]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: {problem}: integer with over {limit} digits\n"
+
+
 def test_validate_reads_stdin_dash(monkeypatch, capsys):
     monkeypatch.setattr(
         sys, "stdin", io.StringIO(serialize(Document("groupoid", z2())))

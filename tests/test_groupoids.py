@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import generators as gen
-from isosearch import find_isomorphism, isomorphic
+from isosearch import isomorphic
 from haarsys import (
     CompositionError,
     Violation,
@@ -34,6 +34,7 @@ from haarsys import (
     validate_groupoid,
 )
 from haarsys.fixtures import pair2, pair3, z2
+from haarsys.groupoids import _associative_on_generators
 
 
 def laws(report):
@@ -174,6 +175,27 @@ def exhaustive_associativity(G):
         for z in els
         if (y, z) in C and C[(C[(x, y)], z)] != C[(x, C[(y, z)])]
     )
+
+
+class CountingTable(dict):
+    """A compose table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_associativity_on_generators_tests_few_arrows(n):
+    # pair(n) has n^2 arrows with n on each side of each: testing every arrow
+    # costs 4 n^4 lookups, while the closure of the generators reaches the rest
+    G = pair_groupoid(str(p) for p in range(n))
+    C = CountingTable(G.compose_map)
+    r, s = G.range_map.get, G.source_map.get
+    assert _associative_on_generators(G.sorted_elements(), C, r, s, G._rfib, G._sfib)
+    assert C.lookups < 2 * n**4
 
 
 @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
@@ -475,10 +497,10 @@ def test_orbit_maps_come_in_sorted_order_whatever_the_hash_seed():
     code = (
         "import json\n"
         "from haarsys import pair_groupoid, relation_groupoid, unit_orbit_map\n"
-        "from haarsys.actions import _orbit_reps, left_translation_action\n"
+        "from haarsys.actions import left_translation_action\n"
         "maps = [unit_orbit_map(pair_groupoid('1234')),\n"
         "        unit_orbit_map(relation_groupoid({'a': 'X', 'b': 'Y', 'c': 'X', 'd': 'Y'})),\n"
-        "        _orbit_reps(left_translation_action(pair_groupoid('123')))]\n"
+        "        left_translation_action(pair_groupoid('123'))._orbits]\n"
         "print(json.dumps([list(m) for m in maps]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -16,14 +16,12 @@ from haarsys import (
     convolve,
     counting_haar,
     full_fiber_system,
-    make_haar,
     opposite,
     orbit_space,
     pair_arrow,
     pair_groupoid,
     parse,
     serialize,
-    transformation_groupoid,
     validate_groupoid,
 )
 from haarsys.fixtures import rect32

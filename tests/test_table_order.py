@@ -4,13 +4,15 @@ Groupoid, Action and FiberSystem store every dict table sorted by key, however
 they are built: directly, through a constructor function, or through
 dataclasses.replace.  The validators, check_equivariant and the encoder walk
 that stored order, so an object built from shuffled tables reports and
-serializes exactly as its sorted twin does.
+serializes exactly as its sorted twin does.  Derived indexes are cached on the
+object they come from, so a replace copy builds its own and reports what a
+freshly built twin reports.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -24,6 +26,7 @@ from haarsys import (
     check_equivariant,
     fiber_system,
     group_as_groupoid,
+    imprimitivity_iso,
     left_action,
     make_groupoid,
     right_action,
@@ -186,3 +189,48 @@ def test_shuffled_unlinked_equivalence_lists_its_witnesses_as_its_sorted_twin(E,
     assert len(report.violations) > 1
     assert {v.law for v in report.violations} == laws
     assert validate_equivalence(shuffled_E).render() == report.render()
+
+
+def fresh(obj):
+    """A twin of a table object built from its fields, with nothing cached."""
+    return type(obj)(**{f.name: getattr(obj, f.name) for f in fields(obj)})
+
+
+def dropped(table: dict, rng: random.Random) -> dict:
+    """The table without one of its entries."""
+    gone = rng.choice(sorted(table))
+    return {k: v for k, v in table.items() if k != gone}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_replace_copies_of_validated_objects_report_what_fresh_twins_report(seed):
+    rng = random.Random(seed)
+    _, _, _, E = gen.random_equivalence(rng)
+    groupoids = (E.left.groupoid, E.right.groupoid)
+    assert all(validate_groupoid(K).passed for K in groupoids)
+    assert validate_equivalence(E).passed
+    imprimitivity_iso(E)  # builds the left action's classes and the right one's translators
+
+    for K in groupoids:
+        for name in GROUPOID_TABLES:
+            copy = replace(K, **{name: dropped(getattr(K, name), rng)})
+            twin = fresh(copy)
+            assert validate_groupoid(copy) == validate_groupoid(twin) != validate_groupoid(K)
+            assert (copy._rfib, copy._sfib) == (twin._rfib, twin._sfib)
+            assert (copy._rfib != K._rfib) == (name == "range_map")
+    for A in (E.left, E.right):
+        copy = replace(A, **dict(zip(("moment", "act"), broken_tables(A, rng))))
+        twin = fresh(copy)
+        assert validate_action(copy) == validate_action(twin) != validate_action(A)
+        assert copy._orbits == twin._orbits
+
+    # a relabeled right action stays valid and free but need not link any more
+    R = E.right
+    points = sorted(E.carrier)
+    image = dict(zip(points, rng.sample(points, len(points))))
+    moment = {image[z]: u for z, u in R.moment.items()}
+    moved = replace(R, moment=moment, act={(k, image[z]): image[w] for (k, z), w in R.act.items()})
+    copy = replace(E, right=moved)
+    twin = Equivalence(fresh(E.left), fresh(moved))
+    assert validate_equivalence(copy) == validate_equivalence(twin)
+    assert copy.right._orbits == twin.right._orbits

@@ -588,9 +588,17 @@ TRANSFER_BUDGET = {
     (systems, "make_haar"): 1,  # the result, certified on the right groupoid only
     (groupoids, "make_groupoid"): 1,  # the imprimitivity groupoid, built once
     (actions, "orbit_space"): 0,
-    (actions, "_orbit_reps"): 3,  # once per side in validate_equivalence, once for the cut-off and imp
-    (actions, "_translators"): 1,  # the right action's, for the class translation
     (groupoids, "_pullback"): 1,  # the imprimitivity groupoid
+}
+
+# derived indexes built inside transfer_haar, on an equivalence built beforehand
+INDEX_BUDGET = {
+    (actions.Action, "_laws"): 0,  # walked when each action was built, read back by validate_action
+    (actions.Action, "_orbits"): 2,  # once per side in validate_equivalence; cut-off and imp reuse the left
+    (actions.Action, "_translators"): 1,  # the right action's, for the class translation
+    (actions.Action, "_classes"): 1,  # the imprimitivity groupoid of the left action
+    (groupoids.Groupoid, "_rfib"): 3,  # G and H in validate_groupoid, the left action's copy of G
+    (groupoids.Groupoid, "_sfib"): 1,  # G's, for associativity; H's was built with the right action
 }
 
 
@@ -609,10 +617,17 @@ def test_transfer_validates_each_input_once(monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
+    for cls, name in INDEX_BUDGET:
+        index = vars(cls)[name]
+
+        def build(obj, _build=index.func, _name=name):
+            calls[_name] += 1
+            return _build(obj)
+
+        monkeypatch.setattr(index, "func", build)
     transfer_haar(G, lam, E)
-    assert {name: calls[name] for _, name in TRANSFER_BUDGET} == {
-        name: n for (_, name), n in TRANSFER_BUDGET.items()
-    }
+    budget = {**TRANSFER_BUDGET, **INDEX_BUDGET}
+    assert {name: calls[name] for _, name in budget} == {name: n for (_, name), n in budget.items()}
 
 
 def doubled_first_weight(system):
