@@ -13,7 +13,7 @@ is unsupported.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +25,7 @@ from .groupoids import (
     _fibers,
     _pullback,
     _sort_tables,
+    make_groupoid,
     validate_groupoid,
 )
 
@@ -41,6 +42,8 @@ __all__ = [
     "orbit_space",
     "right_action",
     "right_translation_action",
+    "transformation_arrow",
+    "transformation_groupoid",
     "unit_translation_action",
     "validate_action",
     "validate_equivalence",
@@ -100,6 +103,11 @@ class Action:
             if value not in car:
                 bad.append(Violation("carrier", (f"g={key[0]}", f"z={key[1]}", f"value={value}")))
         return ValidationReport(tuple(bad))
+
+    @cached_property
+    def _unfree(self) -> tuple[str, str] | None:
+        """The least (g, z) with g.z == z where g is not z's moment unit; None when the action is free."""
+        return next(((g, z) for (g, z), w in self.act.items() if w == z and g != self.moment.get(z)), None)
 
     @cached_property
     def _orbits(self) -> dict[str, str]:
@@ -186,12 +194,7 @@ def opposite(A: Action) -> Action:
 
 def is_free(A: Action) -> bool:
     """True when only the moment unit fixes each point."""
-    return _unfree_pair(A) is None
-
-
-def _unfree_pair(A: Action) -> tuple[str, str] | None:
-    """The least (g, z) where g fixes z but is not the moment unit of z, if there is one."""
-    return min(((g, z) for (g, z), w in A.act.items() if w == z and g != A.moment.get(z)), default=None)
+    return A._unfree is None
 
 
 def validate_action(A: Action) -> ValidationReport:
@@ -232,7 +235,7 @@ def validate_action(A: Action) -> ValidationReport:
                 if lhs is not None and rhs is not None and lhs != rhs:
                     bad.append(Violation("compatibility", (f"g={g}", f"h={h}", f"z={z}")))
 
-    free = "true" if _unfree_pair(A) is None else "false"
+    free = "true" if A._unfree is None else "false"
     return ValidationReport(tuple(bad), (f"free: {free}", PROPERNESS_NOTE))
 
 
@@ -264,6 +267,45 @@ def unit_translation_action(G: Groupoid) -> Action:
         table[(x, G.source_map[x])] = G.range_map[x]
     moment = {u: u for u in G.units}
     return left_action(G, G.units, moment, table)
+
+
+def transformation_arrow(g: str, x: str) -> str:
+    return f"tg:{g}|{x}"
+
+
+def transformation_groupoid(
+    group: Groupoid, action: Mapping[tuple[str, str], str], space: Iterable[str] | None = None
+) -> Groupoid:
+    """Groupoid of a group action: arrows (g, x) from x to g.x.
+
+    Arrows compose as (g', g.x)(g, x) = (g'g, x).  validate_action checks the
+    map as a left action on the space, and the tables are read off its table.
+    """
+    if len(group.units) != 1:
+        raise ValueError("transformation groupoid needs a one-unit (group) actor")
+    e = next(iter(group.units))
+    act = {(str(g), str(x)): str(y) for (g, x), y in action.items()}
+    pts = {x for _, x in act} | set(act.values()) if space is None else set(map(str, space))
+    A = left_action(group, pts, dict.fromkeys(pts, e), act)
+    validate_action(A).require("invalid action")
+    tg = transformation_arrow
+    arrows = {(g, x, y): tg(g, x) for (g, x), y in A.act.items()}
+    if len(set(arrows.values())) != len(arrows):
+        raise ValueError("tokens collide under transformation naming")
+    gels = group.sorted_elements()
+    for g in gels:
+        if g not in group.inverse_map:
+            raise ValueError(f"transformation_groupoid: inverse undefined: x={g}")
+    # (h, g.x) after (g, x)
+    compose = {(tg(h, y), a): tg(group.mul(h, g), x) for (g, x, y), a in arrows.items() for h in gels}
+    return make_groupoid(
+        arrows.values(),
+        {tg(e, x) for x in pts},
+        {a: tg(e, y) for (_, _, y), a in arrows.items()},
+        {a: tg(e, x) for (_, x, _), a in arrows.items()},
+        {a: tg(group.inverse_map[g], y) for (g, _, y), a in arrows.items()},
+        compose,
+    )
 
 
 @dataclass(frozen=True)
@@ -305,11 +347,9 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
     """
     bad: list[Violation] = []
     for A in (E.left, E.right):
-        report = validate_action(A)
-        for v in report.violations:
-            bad.append(Violation(f"{A.side} action {v.law}", v.witness))
-        if "free: false" in report.notes:
-            g, z = _unfree_pair(A)
+        bad += [Violation(f"{A.side} action {v.law}", v.witness) for v in validate_action(A).violations]
+        if A._unfree is not None:
+            g, z = A._unfree
             bad.append(Violation(f"{A.side} action not free", (f"g={g}", f"z={z}")))
     if bad:
         return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
@@ -329,7 +369,7 @@ def validate_equivalence(E: Equivalence) -> ValidationReport:
         return ValidationReport(tuple(bad), (PROPERNESS_NOTE,))
 
     # H is not validated here: a side left undefined by a bad inverse does not commute
-    hr = E.right.groupoid.range_fibers()
+    hr = E.right.groupoid._rfib
     left, right = E.left.act.get, E.right.act.get
     for (g, z), gz in E.left.act.items():
         for h in hr.get(sigma[z], ()):

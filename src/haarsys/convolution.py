@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .groupoids import Groupoid, ValidationReport, Violation, _fibers
-from .systems import FiberSystem, HaarSystem, Rational, _over_fibers, as_fraction
+from .systems import FiberSystem, HaarSystem, Rational, _bind, _over_fibers, as_fraction
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -83,16 +83,6 @@ def delta(G: Groupoid, x: str) -> GroupoidFunction:
     return GroupoidFunction(G, {x: 1})
 
 
-def _bind(G: Groupoid, lam: FiberSystem | HaarSystem, context: str) -> FiberSystem:
-    if isinstance(lam, HaarSystem):
-        if lam.groupoid != G:
-            raise ValueError(f"{context}: haar system bound to a different groupoid")
-        return lam.system
-    if lam.base_map != G.range_map:
-        raise ValueError(f"{context}: base map mismatch: expected the range map of the groupoid")
-    return lam
-
-
 def convolve(
     f: GroupoidFunction, h: GroupoidFunction, lam: FiberSystem | HaarSystem
 ) -> GroupoidFunction:
@@ -115,7 +105,7 @@ def convolve(
     if f.groupoid != h.groupoid:
         raise ValueError("groupoid mismatch")
     G = f.groupoid
-    sys = _bind(G, lam, "convolve")
+    sys = _bind(G, lam, "convolve: ")
     ends = (("range", G.range_map, chain(f.values, h.values)), ("source", G.source_map, f.values))
     for name, table, points in ends:
         for x in points:
@@ -184,8 +174,8 @@ def associativity_oracle(
     """
     if trials < 1:
         raise ValueError(f"associativity oracle: trials must be at least 1, got {trials}")
-    sys = _bind(G, lam, "associativity oracle")
-    rfib = G.range_fibers()
+    sys = _bind(G, lam, "associativity oracle: ")
+    rfib = G._rfib
     for u in sorted(G.units | set(sys.measures)):  # a measure keyed off the units has an empty fiber
         fiber = set(rfib.get(u, ())) if u in G.units else set()
         for y in sys.measure(u).support:

@@ -55,6 +55,9 @@ SUGAR_KINDS = ("pair", "group", "relation")
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a lone one is not text: it cannot be printed or written as UTF-8
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
 _STR, _LIST = {str}, {list}
 
 _ELEMENT, _POINT = "references unknown element", "references unknown carrier point"
@@ -239,9 +242,9 @@ def _schema(prefix: str):
 
 
 def _load_json(text: str) -> object:
-    """json.loads refusing a repeated object key, with a SchemaError for bad JSON."""
+    """json.loads refusing a repeated object key or a lone surrogate, with a SchemaError for bad JSON."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
     except RecursionError:
@@ -250,6 +253,22 @@ def _load_json(text: str) -> object:
         raise
     except ValueError:  # the only other error json.loads raises: an integer past the digit limit
         raise SchemaError(f"invalid JSON: integer with over {sys.get_int_max_str_digits()} digits") from None
+    if _SURROGATE_ESCAPE.search(text) or not text.isascii() and _SURROGATE.search(text):  # clean text: one C scan
+        _refuse_surrogates(data)
+    return data
+
+
+def _refuse_surrogates(data: object) -> None:
+    """Refuse the first string of data, in document order, that holds a lone surrogate, naming its field."""
+    stack = [("", data)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, dict):
+            stack += [pair for k, v in reversed(value.items()) for pair in ((_at(where, k), v), (_at(where, k), k))]
+        elif isinstance(value, list):
+            stack += [(where, item) for item in reversed(value)]
+        elif isinstance(value, str) and _SURROGATE.search(value):
+            raise _fail(where, f"not Unicode text (lone surrogate): {value!r}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

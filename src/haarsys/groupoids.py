@@ -17,7 +17,7 @@ editing one in place is unsupported and may leave it out of order or stale.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,8 +37,6 @@ __all__ = [
     "relation_arrow",
     "relation_groupoid",
     "stability_group",
-    "transformation_arrow",
-    "transformation_groupoid",
     "unit_orbit_map",
     "validate_groupoid",
 ]
@@ -251,10 +249,16 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
 
     if not bad and _associative_on_generators(els, C, r, s, rfib, G._sfib):
         return ValidationReport()
+    for x, y, z in _associativity_witnesses(els, E, C, s, rfib):
+        bad.append(Violation("associativity", (f"x={x}", f"y={y}", f"z={z}")))
+    return ValidationReport(tuple(bad))
+
+
+def _associativity_witnesses(els: list, E: Container, C: Mapping, s: Callable, rfib: dict) -> Iterator[tuple]:
+    """Exhaustive scan, O(composable triples): each (x, y, z) with (xy)z != x(yz), xy in E; rfib groups els by range."""
     get = C.get
     for x in els:
-        sx = s(x)
-        for y in rfib.get(sx, ()):
+        for y in rfib.get(s(x), ()):
             xy = get((x, y))
             if xy is None or xy not in E:
                 continue
@@ -263,9 +267,7 @@ def validate_groupoid(G: Groupoid) -> ValidationReport:
                 a = get((xy, z))
                 b = get((x, yz)) if yz is not None else None
                 if a is not None and b is not None and a != b:
-                    bad.append(Violation("associativity", (f"x={x}", f"y={y}", f"z={z}")))
-
-    return ValidationReport(tuple(bad))
+                    yield x, y, z
 
 
 def is_principal(G: Groupoid) -> bool:
@@ -408,13 +410,10 @@ def group_as_groupoid(table: Mapping[tuple[str, str], str]) -> Groupoid:
             if (a, b) not in t:
                 raise ValueError(f"multiplication table not total: missing ({a}, {b})")
     # a total table is a groupoid table with one unit, where every pair composes
-    one = dict.fromkeys(els, "")
-    if not _associative_on_generators(els, t, one.get, one.get, {"": els}, {"": els}):
-        for a in els:
-            for b in els:
-                for c in els:
-                    if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]:
-                        raise ValueError(f"table not associative: witness ({a}, {b}, {c})")
+    one, fib = dict.fromkeys(els, ""), {"": els}
+    if not _associative_on_generators(els, t, one.get, one.get, fib, fib):
+        a, b, c = next(_associativity_witnesses(els, one, t, one.get, fib))
+        raise ValueError(f"table not associative: witness ({a}, {b}, {c})")
     identity = None
     for e in els:
         if all(t[(e, a)] == a and t[(a, e)] == a for a in els):
@@ -430,67 +429,6 @@ def group_as_groupoid(table: Mapping[tuple[str, str], str]) -> Groupoid:
         inverse_map[a] = partners[0]
     const = {a: identity for a in els}
     return make_groupoid(els, {identity}, const, dict(const), inverse_map, t)
-
-
-def transformation_arrow(g: str, x: str) -> str:
-    return f"tg:{g}|{x}"
-
-
-def transformation_groupoid(
-    group: Groupoid, action: Mapping[tuple[str, str], str], space: Iterable[str] | None = None
-) -> Groupoid:
-    """Groupoid of a group action: arrows (g, x) from x to g.x.
-
-    Arrows compose as (g', g.x)(g, x) = (g'g, x).  The action map must be
-    total on group x space and satisfy the identity and compatibility laws.
-    """
-    if len(group.units) != 1:
-        raise ValueError("transformation groupoid needs a one-unit (group) actor")
-    e = next(iter(group.units))
-    act = {(str(g), str(x)): str(y) for (g, x), y in action.items()}
-    if space is None:
-        pts = sorted({x for _, x in act} | set(act.values()))
-    else:
-        pts = sorted({str(x) for x in space})
-    gels = group.sorted_elements()
-    for g in gels:
-        for x in pts:
-            if (g, x) not in act:
-                raise ValueError(f"action not total: missing ({g}, {x})")
-            if act[(g, x)] not in pts:
-                raise ValueError(f"action leaves the space: ({g}, {x}) -> {act[(g, x)]}")
-    for x in pts:
-        if act[(e, x)] != x:
-            raise ValueError(f"identity must act trivially: {e}.{x} = {act[(e, x)]}")
-    for g in gels:
-        for h in gels:
-            gh = group.mul(g, h)
-            for x in pts:
-                if act[(gh, x)] != act[(g, act[(h, x)])]:
-                    raise ValueError(f"action not compatible: witness ({g}, {h}, {x})")
-
-    elements = [transformation_arrow(g, x) for g in gels for x in pts]
-    if len(set(elements)) != len(gels) * len(pts):
-        raise ValueError("tokens collide under transformation naming")
-    units = {transformation_arrow(e, x) for x in pts}
-    range_map = {transformation_arrow(g, x): transformation_arrow(e, act[(g, x)]) for g in gels for x in pts}
-    source_map = {transformation_arrow(g, x): transformation_arrow(e, x) for g in gels for x in pts}
-    inverse_map = {}
-    for g in gels:
-        gi = group.inverse_map.get(g)
-        if gi is None:
-            raise ValueError(f"transformation_groupoid: inverse undefined: x={g}")
-        for x in pts:
-            inverse_map[transformation_arrow(g, x)] = transformation_arrow(gi, act[(g, x)])
-    compose = {}
-    for g in gels:
-        for x in pts:
-            for h in gels:
-                # (h, g.x) after (g, x)
-                compose[(transformation_arrow(h, act[(g, x)]), transformation_arrow(g, x))] = (
-                    transformation_arrow(group.mul(h, g), x)
-                )
-    return make_groupoid(elements, units, range_map, source_map, inverse_map, compose)
 
 
 def relation_arrow(u: str, v: str) -> str:
@@ -528,27 +466,14 @@ def relation_groupoid(q: Mapping[str, str], codomain: Iterable[str] | None = Non
 def stability_group(G: Groupoid, v: str) -> tuple[Groupoid, tuple[str, ...]]:
     """Arrows from v to v as a one-unit groupoid, plus the full source fiber at v.
 
-    The second component, all arrows whose source is v, is the natural
-    carrier linking G to its stability group when G is transitive.
+    The group is the pullback of G along the inclusion of v, each triple
+    (v, g, v) keeping g's token.  The source fiber is the natural carrier
+    linking G to its stability group when G is transitive.
     """
     if v not in G.units:
         raise ValueError(f"not a unit: {v}")
-    carrier = tuple(G._sfib.get(v, ()))
-    members = [x for x in carrier if G.range_map.get(x) == v]
-    inverse = {}
-    compose = {}
-    for x in members:
-        xi = G.inverse_map.get(x)
-        if xi is None:
-            raise ValueError(f"stability_group: inverse undefined: x={x}")
-        inverse[x] = xi
-        for y in members:
-            xy = G.compose_map.get((x, y))
-            if xy is None:
-                raise ValueError(f"stability_group: compose missing on composable pair: x={x} y={y}")
-            compose[(x, y)] = xy
-    const = {x: v for x in members}
-    return make_groupoid(members, {v}, const, dict(const), inverse, compose), carrier
+    group = _pullback(G, {v: v}, lambda _, g, __: g, "arrow tokens collide", "stability_group")[0]
+    return group, tuple(G._sfib.get(v, ()))
 
 
 def blowup_arrow(z: str, g: str, w: str) -> str:
@@ -580,17 +505,18 @@ def _blow_up(G: Groupoid, f: Mapping[str, str]) -> tuple[Groupoid, dict[tuple[st
 
 
 def _pullback(
-    G: Groupoid, f: Mapping[str, str], name: Callable[[str, str, str], str], collision: str
+    G: Groupoid, f: Mapping[str, str], name: Callable[[str, str, str], str], collision: str, caller: str = "blow_up"
 ) -> tuple[Groupoid, dict[tuple[str, str, str], str]]:
     """The triples (z, g, w) with f(z) = r(g) and s(g) = f(w) as a groupoid, and their tokens.
 
     f maps a new unit space into G's units; (z, g, w)(w, g', v) = (z, gg', v).
-    It builds pair_groupoid, relation_groupoid, blow_up and the imprimitivity
-    groupoid of a free action (actions.Action._classes).
+    It builds pair_groupoid, relation_groupoid, blow_up, stability_group (the
+    pullback along the inclusion of one unit) and the imprimitivity groupoid
+    of a free action (actions.Action._classes).
     name(z, g, w) formats each triple's token once; tokens must not collide
     (else ValueError(collision)).  G is not validated: an inverse or product
-    that is not a triple is still named, and a missing entry raises blow_up's
-    one-line ValueError (every inverse is checked before any product).
+    that is not a triple is still named, and a missing entry raises a one-line
+    ValueError naming the caller (every inverse is checked before any product).
     """
     zs = sorted(f)
     over = _fibers(zs, f.get)
@@ -608,7 +534,7 @@ def _pullback(
     for (z, g, w), a in tok.items():
         gi = G.inverse_map.get(g)
         if gi is None:
-            raise ValueError(f"blow_up: inverse undefined: x={g}")
+            raise ValueError(f"{caller}: inverse undefined: x={g}")
         inverse_map[a] = known((w, gi, z)) or name(w, gi, z)
     starting = _fibers(tok.items(), lambda item: item[0][0])
     product = G.compose_map.get
@@ -617,7 +543,7 @@ def _pullback(
         for (_, g2, v), b in starting.get(w, ()):
             gg2 = product((g, g2))
             if gg2 is None:
-                raise ValueError(f"blow_up: compose missing on composable pair: x={g} y={g2}")
+                raise ValueError(f"{caller}: compose missing on composable pair: x={g} y={g2}")
             compose[(a, b)] = known((z, gg2, v)) or name(z, gg2, v)
     range_map = {a: unit[t[0]] for t, a in tok.items()}
     source_map = {a: unit[t[2]] for t, a in tok.items()}

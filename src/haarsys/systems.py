@@ -204,8 +204,15 @@ class HaarSystem:
         return self.system.weight(u, x)
 
 
-def _unwrap(system: FiberSystem | HaarSystem) -> FiberSystem:
-    return system.system if isinstance(system, HaarSystem) else system
+def _bind(G: Groupoid, system: FiberSystem | HaarSystem, prefix: str = "") -> FiberSystem:
+    """The fiber system of a family for G: a HaarSystem must be bound to G, the base map be G's range map."""
+    if isinstance(system, HaarSystem):
+        if system.groupoid != G:
+            raise ValueError(f"{prefix}haar system bound to a different groupoid")
+        system = system.system
+    if system.base_map != G.range_map:
+        raise ValueError(f"{prefix}base map mismatch: expected the range map of the groupoid")
+    return system
 
 
 def check_haar(G: Groupoid, system: FiberSystem | HaarSystem) -> ValidationReport:
@@ -221,13 +228,9 @@ def check_haar(G: Groupoid, system: FiberSystem | HaarSystem) -> ValidationRepor
     containment, fullness and invariance are walks over range fibers:
     O(|measures| + sum over arrows x of |range fiber at r(x)|).
     """
-    if isinstance(system, HaarSystem) and system.groupoid != G:
-        raise ValueError("haar system bound to a different groupoid")
-    sys = _unwrap(system)
-    if sys.base_map != G.range_map:
-        raise ValueError("base map mismatch: expected the range map of the groupoid")
+    sys = _bind(G, system)
     bad: list[Violation] = []
-    rfib = G.range_fibers()
+    rfib = G._rfib
     for u in sorted(G.units | set(sys.measures)):  # a measure keyed off the units has an empty fiber
         m = sys.measure(u)
         fiber = set(rfib.get(u, ())) if u in G.units else set()
@@ -270,7 +273,7 @@ def check_haar(G: Groupoid, system: FiberSystem | HaarSystem) -> ValidationRepor
 def make_haar(G: Groupoid, system: FiberSystem | HaarSystem, context: str = "haar system") -> HaarSystem:
     """Wrap a fiber system as a HaarSystem after check_haar passes."""
     check_haar(G, system).require(context)
-    return HaarSystem(G, _unwrap(system))
+    return HaarSystem(G, _bind(G, system))
 
 
 def counting_haar(G: Groupoid) -> HaarSystem:

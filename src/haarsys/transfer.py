@@ -382,8 +382,6 @@ def transfer_haar(
             raise ValueError("left groupoid of the equivalence is not the given one")
         validate_equivalence(E).require("invalid equivalence")
         stage = "haar"
-        if lam.groupoid != G:
-            raise ValueError("haar system bound to a different groupoid")
         check_haar(G, lam).require("not a Haar system")
         stage = "beta"
         beta = default_beta(E) if beta is None else beta

@@ -10,6 +10,7 @@ import pytest
 import generators as gen
 from isosearch import isomorphic
 from generators import unit_carrier_equivalence
+from haarsys import actions
 from haarsys import (
     Document,
     Equivalence,
@@ -376,6 +377,16 @@ def test_imprimitivity_refuses_a_valid_action_that_is_not_free_with_one_line():
         imprimitivity_groupoid(A)
     with pytest.raises(ValueError, match="^imprimitivity needs a free action$"):
         imprimitivity_haar(A, full_fiber_system({"p": "e"}, {"p": 1}))
+
+
+def test_imprimitivity_groupoid_walks_the_action_table_for_freeness_once(monkeypatch):
+    # validate_action's "free" note and the freeness check read one cached walk
+    index = vars(actions.Action)["_unfree"]
+    walks = []
+    monkeypatch.setattr(index, "func", lambda A, _walk=index.func: walks.append(A) or _walk(A))
+    A = swap_action()
+    imprimitivity_groupoid(A)
+    assert walks == [A]
 
 
 def test_imprimitivity_groupoid_refuses_colliding_class_tokens():

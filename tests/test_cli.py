@@ -155,6 +155,23 @@ def test_validate_5000_digit_integer_exits_two(tmp_path, capsys, value, problem)
     assert capsys.readouterr().err == f"error: {problem}: integer with over {limit} digits\n"
 
 
+def test_validate_lone_surrogate_token_exits_two_from_a_real_stdout(tmp_path):
+    # a subprocess, because its stdout refuses to encode a surrogate and capsys's StringIO does not
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"version": 1, "kind": "groupoid", "elements": ["e", "\\ud800"], "units": ["e"], "range": {"e": "e"},'
+        ' "source": {"e": "e"}, "inverse": {"e": "e"}, "compose": [["e", "e", "e"]]}'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "haarsys.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    error = "error: field 'elements': not Unicode text (lone surrogate): '\\ud800'\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
 def test_validate_reads_stdin_dash(monkeypatch, capsys):
     monkeypatch.setattr(
         sys, "stdin", io.StringIO(serialize(Document("groupoid", z2())))

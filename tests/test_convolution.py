@@ -18,6 +18,7 @@ import generators as gen
 from haarsys import (
     EXHAUSTIVE_LIMIT,
     GroupoidFunction,
+    HaarSystem,
     associativity_oracle,
     convolve,
     counting_haar,
@@ -121,6 +122,21 @@ def test_group_deltas_convolve_by_multiplication():
 def test_convolve_rejects_mismatched_groupoids():
     with pytest.raises(ValueError):
         convolve(delta(z2(), "e"), delta(pair2(), pair_arrow("1", "1")), counting_haar(z2()))
+
+
+@pytest.mark.parametrize(
+    "call, context",
+    [
+        (lambda lam: convolve(delta(z2(), "g"), delta(z2(), "g"), lam), "convolve"),
+        (lambda lam: associativity_oracle(z2(), lam), "associativity oracle"),
+    ],
+    ids=["convolve", "oracle"],
+)
+def test_a_haar_system_whose_base_map_is_not_the_range_map_is_refused(call, context):
+    lam = HaarSystem(z2(), fiber_system({"e": "e", "g": "g"}, {"e": Measure({"e": 1}), "g": Measure({"g": 1})}))
+    with pytest.raises(ValueError) as err:
+        call(lam)
+    assert str(err.value) == f"{context}: base map mismatch: expected the range map of the groupoid"
 
 
 def reference_convolve(f, h, lam):

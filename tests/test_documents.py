@@ -194,6 +194,38 @@ def test_rejects_a_version_equal_to_one_that_is_not_the_integer(version):
     assert str(err.value) == f"unknown version: {version!r} (expected 1)"
 
 
+def one_point_text(token: str) -> str:
+    """A groupoid document whose second element is token, written into the JSON text as is."""
+    return (
+        '{"version": 1, "kind": "groupoid", "elements": ["e", "%s"], "units": ["e"], "range": {"e": "e"},'
+        ' "source": {"e": "e"}, "inverse": {"e": "e"}, "compose": [["e", "e", "e"]]}' % token
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (one_point_text("\\ud800"), "field 'elements': not Unicode text (lone surrogate): '\\ud800'"),
+        (one_point_text("a\\uDFFF"), "field 'elements': not Unicode text (lone surrogate): 'a\\udfff'"),
+        (one_point_text("\udc80"), "field 'elements': not Unicode text (lone surrogate): '\\udc80'"),
+        (
+            json.dumps({"version": 1, "kind": "function", "values": {}, "meta": {"\ud800": "x"}}),
+            "field 'meta.\\ud800': not Unicode text (lone surrogate): '\\ud800'",
+        ),
+    ],
+    ids=["escape", "escape-after-text", "raw", "key"],
+)
+def test_rejects_a_lone_surrogate_naming_its_field(text, message):
+    with pytest.raises(SchemaError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_accepts_an_escaped_surrogate_pair():
+    doc = parse(one_point_text("\\ud83d\\ude00"))
+    assert doc.payload.elements == {"e", "\U0001f600"}
+
+
 def test_rejects_unknown_kind():
     with pytest.raises(SchemaError, match="unknown document kind"):
         parse(json.dumps({"version": 1, "kind": "spectrum"}))

@@ -331,12 +331,15 @@ def test_blow_up_names_a_missing_entry(table, message):
     [
         ("inverse", "stability_group: inverse undefined: x=g"),
         ("compose", "stability_group: compose missing on composable pair: x=g y=g"),
+        # the product (e, g) comes before g's inverse in a walk of the arrows; every inverse is checked first
+        ("both", "stability_group: inverse undefined: x=g"),
     ],
 )
 def test_stability_group_names_a_missing_entry(table, message):
     G = z2()
-    inverse = {k: v for k, v in G.inverse_map.items() if table != "inverse" or k != "g"}
-    compose = {k: v for k, v in G.compose_map.items() if table != "compose" or k != ("g", "g")}
+    dropped = {"inverse": None, "compose": ("g", "g"), "both": ("e", "g")}[table]
+    inverse = {k: v for k, v in G.inverse_map.items() if table == "compose" or k != "g"}
+    compose = {k: v for k, v in G.compose_map.items() if k != dropped}
     bad = make_groupoid(G.elements, G.units, G.range_map, G.source_map, inverse, compose)
     with pytest.raises(ValueError) as exc:
         stability_group(bad, "e")
@@ -433,6 +436,26 @@ def test_transformation_rejects_incompatible_action():
     act = {("e", "p"): "p", ("g", "p"): "q", ("e", "q"): "q", ("g", "q"): "q"}
     with pytest.raises(ValueError):
         transformation_groupoid(z2(), act, ["p", "q"])
+
+
+@pytest.mark.parametrize(
+    "act, message",
+    [
+        ({("e", "p"): "p", ("e", "q"): "q", ("g", "p"): "q"}, "domain: g=g z=q missing"),
+        ({("e", "p"): "p", ("e", "q"): "q", ("g", "p"): "r", ("g", "q"): "p"}, "carrier: g=g z=p value=r"),
+        ({("e", "p"): "q", ("e", "q"): "p", ("g", "p"): "p", ("g", "q"): "q"}, "unit acts trivially: z=p u.z=q"),
+        ({("e", "p"): "p", ("e", "q"): "q", ("g", "p"): "q", ("g", "q"): "q"}, "compatibility: g=g h=g z=p"),
+        (
+            {**{(g, x): x for g in ("e", "g") for x in ("p", "q")}, ("e", "r"): "r"},
+            "domain: g=e z=r off the composable pairs",
+        ),
+    ],
+    ids=["not-total", "leaves-space", "identity", "incompatible", "stray-entry"],
+)
+def test_transformation_names_the_first_action_violation(act, message):
+    with pytest.raises(ValueError) as exc:
+        transformation_groupoid(z2(), act, ["p", "q"])
+    assert str(exc.value) == f"invalid action: violation {message}"
 
 
 def test_transformation_names_a_missing_inverse():

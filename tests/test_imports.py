@@ -1,4 +1,4 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and the package imports at module level."""
 
 from __future__ import annotations
 
@@ -57,3 +57,35 @@ def test_the_scan_sees_an_unused_import_and_its_use(tmp_path):
         encoding="utf-8",
     )
     assert imported_never_read(module) == [("c", 4), ("j", 3)]
+
+
+def imports_inside_functions(path: Path) -> list[int]:
+    """The line of each import statement inside a function body of path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = (fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    imports = (node for fn in functions for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted({node.lineno for node in imports})
+
+
+def test_no_package_module_imports_inside_a_function():
+    # a local import would hide an import cycle between the package modules
+    local = [
+        f"{path.relative_to(ROOT).as_posix()}:{line}"
+        for path in sorted(ROOT.glob("src/haarsys/*.py"))
+        for line in imports_inside_functions(path)
+    ]
+    assert local == []
+
+
+def test_the_scan_sees_an_import_inside_a_function(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\n"
+        "def f():\n"
+        "    from a import b\n"
+        "    def g():\n"
+        "        import c\n"
+        "    return b\n",
+        encoding="utf-8",
+    )
+    assert imports_inside_functions(module) == [3, 5]

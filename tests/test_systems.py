@@ -21,6 +21,7 @@ from haarsys import (
     cutoff_function,
     fiber_system,
     full_fiber_system,
+    make_groupoid,
     make_haar,
     orbit_space,
     pair_arrow,
@@ -180,6 +181,13 @@ def test_check_haar_flags_a_measure_keyed_off_the_units():
     witness = Violation("support containment", ("unit=pair:1,2", "arrow=pair:1,3"))
     assert check_haar(pair3(), system).violations == (witness,)
     assert laws(check_system(system)) == {"support containment"}
+
+
+def test_check_haar_files_an_arrow_without_range_under_no_unit():
+    # the unit is named "", the token a fiber index could mistake for a missing range
+    G = make_groupoid(["", "a"], [""], {"": ""}, {"": "", "a": ""}, {"": "", "a": "a"}, {("", ""): ""})
+    system = fiber_system({"": ""}, {"": Measure({"": 1})})
+    assert check_haar(G, system).violations == (Violation("range undefined", ("x=a",)),)
 
 
 def reference_check_haar(G, system):
