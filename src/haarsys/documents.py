@@ -214,7 +214,10 @@ def serialize(doc: Document) -> str:
             if not isinstance(v, str):
                 raise _fail("meta", f"non-string value for {k!r}: {v!r}")
         body["meta"] = dict(sorted(doc.meta.items()))
-    return _emit(body, "") + "\n"
+    text = _emit(body, "") + "\n"
+    if _SURROGATE_ESCAPE.search(text):  # parse refuses a lone surrogate: name the field it names, in text order
+        _refuse_surrogates(json.loads(text))
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ class Groupoid:
         return sorted(x for x in self.elements if self.range_map.get(x) == u)
 
     def range_fibers(self) -> dict[str, list[str]]:
-        fib = _fibers(self.sorted_elements(), lambda x: self.range_map.get(x, ""))
-        return {u: [] for u in self.sorted_units()} | fib
+        """_rfib with every unit present; an arrow with no range is in no fiber."""
+        return {u: [] for u in self.sorted_units()} | {u: f for u, f in self._rfib.items() if u is not None}
 
     @cached_property
     def _rfib(self) -> dict:

@@ -3,8 +3,8 @@
 The central move: integrate a full fiber system against a Haar system,
 weighted by a cut-off, to produce a full equivariant system over the moment
 map of an action.  Such a system induces a Haar system on the imprimitivity
-groupoid of a free action, and through an equivalence that groupoid is a copy
-of the linked groupoid, so Haar systems travel across equivalences.
+groupoid of a free action; across an equivalence, transfer_haar reads it
+straight onto the linked groupoid through that groupoid's own action.
 
 The final results are certified by check_haar before being returned.
 """
@@ -18,7 +18,6 @@ from .actions import (
     Action,
     Equivalence,
     _action_domain,
-    _class_translation,
     is_free,
     left_action,
     opposite_equivalence,
@@ -327,19 +326,15 @@ def imprimitivity_haar(A: Action, nu: FiberSystem) -> HaarSystem:
     check_system(nu).require("not a full system")
     check_equivariant(A, nu).require("not equivariant")
     imp, class_rep = A._classes
-    return make_haar(imp, _induce(A, nu, imp, class_rep), "imprimitivity system")
+    weight = {c: nu.weight(A.moment[y], x) for c, (y, x) in class_rep.items()}
+    return make_haar(imp, _induce(imp, weight), "imprimitivity system")
 
 
-def _induce(
-    A: Action, nu: FiberSystem, K: Groupoid, rep: Mapping[str, tuple[str, str]]
-) -> FiberSystem:
-    """The system nu induces on K, the imprimitivity groupoid of A or a copy of it.
+def _induce(K: Groupoid, weight: Mapping[str, Fraction]) -> FiberSystem:
+    """The fiber system over K's range map that gives each arrow of K its weight.
 
-    rep[k] = (y, x) is the least pair of the class k stands for; equivariance
-    makes every pair of a class weigh the same, so k weighs nu^{moment(y)}(x).
     Nothing is certified here: the caller's make_haar on K does that, once.
     """
-    weight = {k: nu.weight(A.moment[y], x) for k, (y, x) in rep.items()}
     measures = {u: Measure({k: weight[k] for k in fiber}) for u, fiber in K.range_fibers().items()}
     return fiber_system(K.range_map, measures)
 
@@ -367,11 +362,12 @@ def transfer_haar(
     Stages: validate the two groupoids and the equivalence; certify lam;
     build (or take) the full system beta over the left moment and the
     cut-off phi over the left orbit map; average into nu, which _average
-    certifies full and equivariant; build the imprimitivity groupoid and
-    its identification with the right groupoid H, which _class_translation
-    checks to be an isomorphism, so a system is Haar on one exactly when
-    its copy is Haar on the other; induce nu straight onto H and certify it
-    there, once.  Every failure names its stage.
+    certifies full and equivariant; induce nu straight onto the right
+    groupoid H and certify it there, once.  Every failure names its stage.
+
+    h weighs nu^{rho(y)}(y.h) for the least y with sigma(y) = r(h): the class
+    [y, y.h] of the imprimitivity groupoid is h (Muhly-Renault-Williams), and
+    equivariance of nu frees the choice of y.  O(|carrier| + |H|).
     """
     stage = "groupoid"
     try:
@@ -393,12 +389,11 @@ def transfer_haar(
         _require_cutoff_matches(phi, E.left, "cut-off")
         stage = "average"
         nu = _average(lam, E.left, beta, phi)
-        stage = "imprimitivity"
-        iso = _class_translation(E)
         stage = "induction"
-        H = E.right.groupoid
-        induced = _induce(E.left, nu, H, {iso[c]: pair for c, pair in E.left._classes[1].items()})
-        return make_haar(H, induced, "transferred system")
+        H, rho, zh = E.right.groupoid, E.left.moment, E.right.act  # zh: (inv(h), y) -> y.h
+        least = {u: y for y, u in reversed(E.right.moment.items())}  # sorted moment: the least y wins
+        weight = {h: nu.weight(rho[y], zh[(H.inverse_map[h], y)]) for u, y in least.items() for h in H._rfib[u]}
+        return make_haar(H, _induce(H, weight), "transferred system")
     except ValueError as exc:
         raise PipelineError(stage, str(exc)) from exc
 

@@ -272,16 +272,29 @@ def test_transfer_mismatched_equivalence_exits_one(tmp_path, capsys):
 
 def test_internal_error_exits_one_with_one_line(monkeypatch, tmp_path, capsys):
     def broken(*args):
-        raise RuntimeError("internal: class translation is not a bijection")
+        raise RuntimeError("internal: averaged system not full")
 
-    monkeypatch.setattr("haarsys.transfer._class_translation", broken)
+    monkeypatch.setattr("haarsys.transfer._average", broken)
     g = write_doc(tmp_path, "g.json", Document("groupoid", pair3()))
     lam = write_doc(tmp_path, "lam.json", Document("system", weighted_pair3_haar().system))
     e = write_doc(tmp_path, "e.json", CORPUS["equivalence-rect32"])
     assert main(["transfer", "--groupoid", g, "--haar", lam, "--equivalence", e]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: internal: class translation is not a bijection\n"
+    assert captured.err == "error: internal: averaged system not full\n"
+
+
+def test_transfer_across_colliding_class_tokens_exits_zero(tmp_path, capsys):
+    # imprimitivity refuses this action's class tokens; the transfer names no class and succeeds
+    E = colliding_tokens_equivalence()
+    G = E.left.groupoid
+    g = write_doc(tmp_path, "g.json", Document("groupoid", G))
+    lam = write_doc(tmp_path, "lam.json", Document("system", counting_haar(G).system))
+    e = write_doc(tmp_path, "e.json", Document("equivalence", E))
+    out = tmp_path / "out.json"
+    assert main(["transfer", "--groupoid", g, "--haar", lam, "--equivalence", e, "--out", str(out)]) == 0
+    assert parse(out.read_text()).payload == counting_haar(E.right.groupoid).system
+    capsys.readouterr()
 
 
 def test_transfer_rejects_wrong_document_kind_exits_two(tmp_path, capsys):

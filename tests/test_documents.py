@@ -14,6 +14,7 @@ from haarsys import (
     Measure,
     SchemaError,
     fiber_system,
+    group_as_groupoid,
     make_groupoid,
     parse,
     serialize,
@@ -219,6 +220,15 @@ def test_rejects_a_lone_surrogate_naming_its_field(text, message):
     with pytest.raises(SchemaError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+def test_serialize_refuses_a_lone_surrogate_token_as_parse_does():
+    # parse(serialize(doc)) would refuse the text, so serialize refuses doc, naming the same field
+    s = "\ud800"
+    G = group_as_groupoid({("e", "e"): "e", ("e", s): s, (s, "e"): s, (s, s): "e"})
+    with pytest.raises(SchemaError) as err:
+        serialize(Document("groupoid", G))
+    assert str(err.value) == "field 'compose': not Unicode text (lone surrogate): '\\ud800'"
 
 
 def test_accepts_an_escaped_surrogate_pair():

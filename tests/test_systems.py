@@ -188,6 +188,11 @@ def test_check_haar_files_an_arrow_without_range_under_no_unit():
     G = make_groupoid(["", "a"], [""], {"": ""}, {"": "", "a": ""}, {"": "", "a": "a"}, {("", ""): ""})
     system = fiber_system({"": ""}, {"": Measure({"": 1})})
     assert check_haar(G, system).violations == (Violation("range undefined", ("x=a",)),)
+    # range_fibers() leaves that arrow out too, so counting_haar's first fault is the true one
+    assert G.range_fibers() == {"": [""]}
+    with pytest.raises(ValueError) as err:
+        counting_haar(G)
+    assert str(err.value) == "counting system: violation range undefined: x=a"
 
 
 def reference_check_haar(G, system):

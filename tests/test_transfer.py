@@ -33,6 +33,7 @@ from haarsys import (
     group_as_groupoid,
     imprimitivity_groupoid,
     imprimitivity_haar,
+    imprimitivity_iso,
     invariant_measure,
     left_action,
     left_translation_action,
@@ -569,13 +570,35 @@ def test_transfer_stage_errors_name_their_stage():
     assert err.value.stage == "beta"
 
 
-def test_transfer_refuses_colliding_class_tokens_at_the_imprimitivity_stage():
+def test_transfer_succeeds_where_imprimitivity_class_tokens_collide():
+    # imprimitivity_groupoid refuses this left action; the transfer names no class.  The closed
+    # form of test_transfer_matches_its_closed_form gives 1: G is trivial, and each sigma-fiber
+    # is one point, its own orbit, weighing 1 under the default beta and phi
     E = gen.colliding_tokens_equivalence()
-    G = E.left.groupoid
-    with pytest.raises(PipelineError) as err:
-        transfer_haar(G, counting_haar(G), E)
-    assert err.value.stage == "imprimitivity"
-    assert str(err.value) == "[stage: imprimitivity] tokens collide under imprimitivity naming"
+    G, H = E.left.groupoid, E.right.groupoid
+    out = transfer_haar(G, counting_haar(G), E)
+    assert out.groupoid == H
+    assert out.system == counting_haar(H).system
+
+
+def test_transfer_equals_the_route_through_the_imprimitivity_groupoid():
+    # reference: imprimitivity_haar induces nu on the imprimitivity groupoid; rename each class to H
+    rng = random.Random(32)
+    for i in range(150):
+        _, G, lam, E = gen.random_equivalence(rng)
+        if i % 2:
+            beta, phi = gen.random_full_beta(E.left, rng), gen.random_cutoff_for(E.left, rng)
+        else:
+            beta, phi = default_beta(E), default_phi(E)
+        nu = average_system(lam, E.left, beta, phi)
+        via_classes = imprimitivity_haar(E.left, nu)
+        _, _, iso = imprimitivity_iso(E)
+        out = transfer_haar(G, lam, E, beta, phi)
+        H = E.right.groupoid
+        assert sorted(iso.values()) == H.sorted_elements()
+        for c, h in iso.items():
+            c_unit, h_unit = via_classes.groupoid.range_map[c], H.range_map[h]
+            assert out.weight(h_unit, h) == via_classes.weight(c_unit, c), (c, h)
 
 
 # ---------------------------------------------------------------------------
@@ -584,20 +607,20 @@ def test_transfer_refuses_colliding_class_tokens_at_the_imprimitivity_stage():
 TRANSFER_BUDGET = {
     (actions, "validate_action"): 2,  # once per side, inside validate_equivalence
     (groupoids, "validate_groupoid"): 2,  # the two groupoids
-    (systems, "check_haar"): 2,  # lam and the result, none on the imprimitivity groupoid
+    (systems, "check_haar"): 2,  # lam and the result
     (systems, "make_haar"): 1,  # the result, certified on the right groupoid only
-    (groupoids, "make_groupoid"): 1,  # the imprimitivity groupoid, built once
+    (groupoids, "make_groupoid"): 0,  # the induction reads H's action; no imprimitivity groupoid
     (actions, "orbit_space"): 0,
-    (groupoids, "_pullback"): 1,  # the imprimitivity groupoid
+    (groupoids, "_pullback"): 0,  # no imprimitivity groupoid
     (groupoids.Groupoid, "range_fibers"): 1,  # _induce's walk of H; the checkers read the cached _rfib
 }
 
 # derived indexes built inside transfer_haar, on an equivalence built beforehand
 INDEX_BUDGET = {
     (actions.Action, "_laws"): 0,  # walked when each action was built, read back by validate_action
-    (actions.Action, "_orbits"): 2,  # once per side in validate_equivalence; cut-off and imp reuse the left
-    (actions.Action, "_translators"): 1,  # the right action's, for the class translation
-    (actions.Action, "_classes"): 1,  # the imprimitivity groupoid of the left action
+    (actions.Action, "_orbits"): 2,  # once per side in validate_equivalence; the cut-off reuses the left
+    (actions.Action, "_translators"): 0,  # the induction reads the right table at (inv(h), y)
+    (actions.Action, "_classes"): 0,  # no imprimitivity groupoid
     (groupoids.Groupoid, "_rfib"): 3,  # G and H in validate_groupoid, the left action's copy of G
     (groupoids.Groupoid, "_sfib"): 1,  # G's, for associativity; H's was built with the right action
 }
